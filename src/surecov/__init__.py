@@ -16,7 +16,6 @@ from .criterion import (
     band_sums,
     default_tau_grid,
     profile_values,
-    select_tau,
     sure_constants,
     sure_eq2_reference,
     sure_profile,
@@ -68,7 +67,6 @@ from .theory import (
     coeffs,
     exact_sure_variance,
     isserlis_moment,
-    oracle_tau,
     risk_profile,
     var_n,
 )
@@ -115,14 +113,12 @@ __all__ = [
     "model_bandwidth",
     "normal_cdf",
     "oracle_ratio_experiment",
-    "oracle_tau",
     "profile_values",
     "rate_experiment",
     "risk_profile",
     "run_experiment",
     "run_replication",
     "sample_dataset",
-    "select_tau",
     "sure_constants",
     "sure_eq2_reference",
     "sure_profile",

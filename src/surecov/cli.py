@@ -58,10 +58,6 @@ def parse_c(text: str) -> float | str:
         raise argparse.ArgumentTypeError(f"c must be a number or 'logn', got {text!r}") from None
 
 
-def parse_c_list(text: str) -> list[float | str]:
-    return [parse_c(part) for part in text.split(",") if part.strip()]
-
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -134,7 +130,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
     """Read an observations-by-coordinates numeric CSV.
 
     A single leading header row is auto-detected (any non-numeric cell in the
-    first row).  Every later row must be fully numeric and of equal width;
+    first row).  Every later row must be numeric, finite and of equal width;
     violations are reported with their 1-based line and column.
     """
     p = Path(path)
@@ -149,8 +145,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
             if width is None:
                 width = len(record)
                 try:
-                    rows.append([float(cell) for cell in record])
-                    continue
+                    [float(cell) for cell in record]
                 except ValueError:
                     continue  # header row
             if len(record) != width:
@@ -165,6 +160,8 @@ def read_matrix_csv(path: str) -> np.ndarray:
                     raise DataError(
                         f"{path}:{lineno}: non-numeric value {cell!r} in column {col}"
                     ) from None
+                if not math.isfinite(parsed[-1]):
+                    raise DataError(f"{path}:{lineno}:{col}: non-finite value {cell!r}")
             rows.append(parsed)
     if width is None:
         raise DataError(f"{path}: no data rows")
@@ -275,9 +272,10 @@ def cmd_select(ns: argparse.Namespace) -> int:
     data = read_matrix_csv(ns.data)
     n, p = data.shape
     c = math.log(n) if ns.c == "logn" else float(ns.c)
-    s_tilde = mle_cov(Dataset(rows=data))
     grid = default_tau_grid(p, n, ns.tau_max)
-    profile = sure_profile(s_tilde, sure_constants(n, c), scheme, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_tilde = mle_cov(Dataset(rows=data))
+        profile = sure_profile(s_tilde, sure_constants(n, c), scheme, grid)
     tau_hat = profile.selected_tau
 
     if ns.profile_out:

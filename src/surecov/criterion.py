@@ -27,19 +27,25 @@ n/(n-1) * (a_n s_ij^2 + b_n s_ii s_jj)`` is the unbiased estimate of
 Because every built-in weight depends only on ``d = |i-j|``, profiles are
 computed from per-distance band sums
 
-    S1(d) = sum_{|i-j|=d} s_ij^2,    S2(d) = sum_{|i-j|=d} s_ii s_jj,
+    S1(d) = sum_{|i-j|=d} s_ij^2,    S2(d) = sum_{|i-j|=d} s_ii s_jj.
 
-precomputed once in O(p^2); each tau then costs O(p).
+A grid whose largest tau is tau_max needs these only for d < tau_max, plus a
+tail bin that collects every d >= tau_max, where all weights are 0: the
+matrix total minus the other bins.  That is O(p * tau_max) per matrix plus
+one pass for its total, then O(tau_max) per grid point: one row of a weight
+table times the sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, frob_sq_dist, taper, unbiased_cov
 from .model import Matrix
 
@@ -47,11 +53,9 @@ __all__ = [
     "SureConstants",
     "CriterionProfile",
     "sure_constants",
-    "var_hat",
     "band_sums",
     "sure_profile",
     "sure_eq2_reference",
-    "select_tau",
     "default_tau_grid",
 ]
 
@@ -82,16 +86,65 @@ def sure_constants(n: int, c: float = 2.0) -> SureConstants:
     return SureConstants(n=n, c=float(c), a_n=a_n, b_n=b_n)
 
 
-def var_hat(sigma_tilde: Matrix, consts: SureConstants, i: int, j: int) -> float:
-    """Unbiased estimate of ``var(Sigma_tilde^s_ij)``.
+def _skew(a: Matrix, rows: int, cols: int) -> Matrix:
+    """Read-only view ``v[i, d] = a[i, i + d]``; the caller keeps it in bounds."""
+    s0, s1 = a.strides
+    return as_strided(a, shape=(rows, cols), strides=(s0 + s1, s1), writeable=False)
 
-    Equals ``n/(n-1) * (a_n s_ij^2 + b_n s_ii s_jj)`` -- the unique expression
-    under which the three-term and closed forms of the criterion coincide.
+
+@lru_cache(maxsize=16)
+def _upper_left(k: int) -> NDArray[np.bool_]:
+    """Read-only ``k x k`` mask, true where ``u + e < k``."""
+    mask = np.tri(k, dtype=bool)[::-1]
+    mask.flags.writeable = False
+    return mask
+
+
+def _per_distance_sums(a: Matrix, b: Matrix, dmax: int, total: float) -> NDArray[np.float64]:
+    """``out[d] = sum_{|i-j|=d} a_ij b_ij`` for ``d < dmax``, for symmetric ``a``
+    and ``b``, and the tail bin ``out[dmax]`` (see :func:`_fold`).
+
+    Distances go in bands ``[d0, d0 + w)``.  The rows that hold the whole band
+    are one skewed view; by symmetry, the triangle left at the bottom right is
+    the top-left half of a square skewed view of the reversed matrix.  A band
+    at most half the remaining width keeps that square in the matrix: one band
+    for ``dmax <= (p + 3) // 2``, about log2(p) for all distances.  Nothing p x p
+    is built; the largest temporary is a band's boolean mask, (w - 1)^2 bytes.
     """
-    s = np.asarray(sigma_tilde, dtype=np.float64)
-    return consts.gamma * (
-        consts.a_n * float(s[i, j]) ** 2 + consts.b_n * float(s[i, i]) * float(s[j, j])
-    )
+    p = a.shape[0]
+    out = np.zeros(dmax + 1)
+    d0, stop = 0, min(dmax, p)
+    while d0 < stop:
+        w = min(stop - d0, (p + 3 - d0) // 2)
+        m, k = p - d0 - w + 1, w - 1
+        ha = _skew(a[:, d0:], m, w)
+        out[d0 : d0 + w] = np.einsum("id,id->d", ha, ha if b is a else _skew(b[:, d0:], m, w))
+        if k:
+            ta = _skew(a[::-1, ::-1][:, d0:], k, k)
+            tb = ta if b is a else _skew(b[::-1, ::-1][:, d0:], k, k)
+            out[d0 : d0 + k] += np.einsum("ue,ue,ue->e", ta, tb, _upper_left(k))
+        d0 += w
+    return _fold(out, p, total)
+
+
+def _fold(out: NDArray[np.float64], p: int, total: float) -> NDArray[np.float64]:
+    """Turn upper-triangle sums ``out[:dmax]`` into sums over both triangles, and
+    set the tail bin ``out[dmax]`` to ``total`` minus them: every d >= dmax."""
+    dmax = len(out) - 1
+    out[1:dmax] *= 2.0
+    if dmax < p:
+        out[dmax] = total - out[:dmax].sum()
+    return out
+
+
+def _band_sums(m: Matrix, dmax: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``S1`` and ``S2`` of ``m`` for ``d < dmax``, each with its tail bin."""
+    dvec = np.diagonal(m)
+    s2 = np.zeros(dmax + 1)
+    # S2 is the autocorrelation of the diagonal over lags d < dmax
+    s2[:dmax] = np.correlate(np.append(dvec, np.zeros(dmax - 1)), dvec, "valid")
+    s1 = _per_distance_sums(m, m, dmax, np.einsum("ij,ij->", m, m))
+    return s1, _fold(s2, len(m), dvec.sum() ** 2)
 
 
 def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -101,16 +154,8 @@ def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     Off-diagonal distances count both triangles.
     """
     m = np.asarray(sigma, dtype=np.float64)
-    p = m.shape[0]
-    dvec = np.diagonal(m)
-    s1 = np.empty(p)
-    s2 = np.empty(p)
-    for d in range(p):
-        band = np.diagonal(m, offset=d)
-        mult = 1.0 if d == 0 else 2.0
-        s1[d] = mult * float(band @ band)
-        s2[d] = mult * float(dvec[: p - d] @ dvec[d:])
-    return s1, s2
+    s1, s2 = _band_sums(m, len(m))
+    return s1[:-1], s2[:-1]
 
 
 @dataclass(frozen=True)
@@ -137,8 +182,21 @@ def _check_grid(tau_grid) -> tuple[int, ...]:
 
 def default_tau_grid(p: int, n: int, tau_max: int | None = None) -> tuple[int, ...]:
     """Grid 1..min(p, n) by default; ``tau_max`` overrides the cap up to p."""
+    if tau_max is not None and tau_max < 1:
+        raise ParameterError(f"tau_max must be >= 1, got {tau_max}")
     cap = min(p, n) if tau_max is None else min(tau_max, p)
     return tuple(range(1, max(cap, 1) + 1))
+
+
+def _weight_table(scheme: WeightScheme, grid: tuple[int, ...], width: int) -> Matrix:
+    """``table[k, d] = w(grid[k], d)`` for ``d < width``."""
+    return np.vstack([scheme.weights(t, width) for t in grid])
+
+
+def _sure_values(w: Matrix, gap_sq: Matrix, s1, s2, consts: SureConstants) -> NDArray[np.float64]:
+    """``SURE_c`` for each row of the weight table ``w``; ``gap_sq = (gamma - w)**2``."""
+    u = consts.a_n * s1 + consts.b_n * s2
+    return gap_sq @ s1 + consts.c * (w @ u) - consts.gamma * u.sum()
 
 
 def profile_values(
@@ -148,15 +206,10 @@ def profile_values(
     scheme: WeightScheme,
     tau_grid: tuple[int, ...],
 ) -> NDArray[np.float64]:
-    """Criterion values from precomputed band sums (one O(p) pass per tau)."""
-    p = len(s1)
-    gamma = consts.gamma
-    values = np.empty(len(tau_grid))
-    for k, tau in enumerate(tau_grid):
-        w = scheme.weights(tau, p)
-        bbar = consts.c * w - gamma
-        values[k] = float((gamma - w) ** 2 @ s1 + bbar @ (consts.a_n * s1 + consts.b_n * s2))
-    return values
+    """Criterion values from band sums: full length, or cut at ``dmax >=
+    max(tau_grid)`` with a tail bin (whose weights are 0) for larger ``d``."""
+    w = _weight_table(scheme, tau_grid, len(s1))
+    return _sure_values(w, (consts.gamma - w) ** 2, s1, s2, consts)
 
 
 def sure_profile(
@@ -172,8 +225,10 @@ def sure_profile(
     if consts.n < 4:
         raise DataError(f"the criterion requires n >= 4, got n={consts.n}")
     grid = _check_grid(tau_grid)
-    s1, s2 = band_sums(sigma_tilde)
+    s1, s2 = _band_sums(np.asarray(sigma_tilde, dtype=np.float64), max(grid))
     values = profile_values(s1, s2, consts, scheme, grid)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("criterion profile is not finite: the covariance overflows")
     return CriterionProfile(
         tau_grid=grid, values=values, c=consts.c, selected_tau=_smallest_argmin(grid, values)
     )
@@ -194,23 +249,12 @@ def sure_eq2_reference(
     if consts.n < 4:
         raise DataError(f"the criterion requires n >= 4, got n={consts.n}")
     s = np.asarray(sigma_tilde, dtype=np.float64)
-    p = s.shape[0]
     fit = frob_sq_dist(taper(s, scheme, tau).matrix, unbiased_cov(s, consts.n))
-    d = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    w = scheme.weights(tau, p)[d]
     vhat = consts.gamma * (consts.a_n * s**2 + consts.b_n * np.outer(np.diagonal(s), np.diagonal(s)))
-    penalty = consts.c * (1.0 / consts.gamma) * float(np.sum(w * vhat))
+    penalty = consts.c * (1.0 / consts.gamma) * float(np.sum(taper(vhat, scheme, tau).matrix))
     return fit - float(np.sum(vhat)) + penalty
 
 
 def _smallest_argmin(grid: tuple[int, ...], values: NDArray[np.float64]) -> int:
     best = float(np.min(values))
     return min(t for t, v in zip(grid, values) if v == best)
-
-
-def select_tau(profile: CriterionProfile) -> int:
-    """Smallest tau attaining the minimum criterion value."""
-    values = np.asarray(profile.values)
-    if values.size == 0:
-        raise ParameterError("empty criterion profile")
-    return _smallest_argmin(profile.tau_grid, values)

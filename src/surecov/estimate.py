@@ -27,7 +27,6 @@ __all__ = [
     "CustomToeplitz",
     "WeightScheme",
     "TaperedEstimate",
-    "weight",
     "taper",
     "mle_cov",
     "unbiased_cov",
@@ -136,11 +135,6 @@ def _check_tau(tau: int) -> None:
         raise ParameterError(f"tau must be a positive integer, got {tau!r}")
 
 
-def weight(scheme: WeightScheme, tau: int, d: int) -> float:
-    """Weight applied at off-diagonal distance ``d`` for tapering parameter ``tau``."""
-    return scheme.weight(tau, d)
-
-
 @dataclass(frozen=True)
 class TaperedEstimate:
     """A tapered sample covariance ``w o Sigma_tilde`` (entrywise product)."""
@@ -174,8 +168,11 @@ def taper(sigma_tilde: Matrix, scheme: WeightScheme, tau: int) -> TaperedEstimat
     sigma_tilde = np.asarray(sigma_tilde, dtype=np.float64)
     p = sigma_tilde.shape[0]
     w = scheme.weights(tau, p)
-    d = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    return TaperedEstimate(tau=tau, scheme=scheme, matrix=w[d] * sigma_tilde)
+    out = np.multiply(sigma_tilde, 0.0, order="C")  # not zeros: keeps w * s's -0.0 and nan
+    for d in range(min(tau, p)):
+        out.flat[d : (p - d) * p : p + 1] = w[d] * np.diagonal(sigma_tilde, d)
+        out.flat[d * p :: p + 1] = w[d] * np.diagonal(sigma_tilde, -d)
+    return TaperedEstimate(tau=tau, scheme=scheme, matrix=out)
 
 
 def frob_sq_dist(a: Matrix, b: Matrix) -> float:

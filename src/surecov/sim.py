@@ -23,18 +23,21 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .criterion import (
+    _band_sums,
+    _per_distance_sums,
     _smallest_argmin,
-    band_sums,
+    _sure_values,
+    _weight_table,
     default_tau_grid,
-    profile_values,
     sure_constants,
 )
 from .errors import DataError, ParameterError
-from .estimate import Banding, WeightScheme
+from .estimate import Banding, WeightScheme, mle_cov
 from .model import (
     ArDecay,
     BandedUniform,
     CovModel,
+    Dataset,
     PolyDecay,
     _draw_rows,
     build_sigma,
@@ -214,29 +217,28 @@ class _ExperimentContext:
         self.grid = config.tau_grid()
         self.cmap = config.resolved_c()
         self.consts = {k: sure_constants(config.n, c) for k, c in self.cmap.items()}
-        self.sig_sq_band, _ = band_sums(self.sigma)
+        self.sig_sq = float(np.einsum("ij,ij->", self.sigma, self.sigma))
         self.keep_loss_curve = keep_loss_curve
-        # per-tau weights, reused by the loss curve
-        p = config.p
-        self.weights = np.vstack([config.scheme.weights(t, p) for t in self.grid])
+        # per-distance weight tables, one row per tau; the tail column d = dmax is 0
+        self.dmax = max(self.grid)
+        self.w = _weight_table(config.scheme, self.grid, self.dmax + 1)
+        self.w_sq = self.w**2
+        self.gap_sq = (sure_constants(config.n).gamma - self.w) ** 2
 
     def replicate(self, rep_index: int) -> ReplicationRecord:
         cfg = self.config
         seed = derive_seed(cfg.base_seed, rep_index)
-        rows = _draw_rows(self.chol, cfg.n, seed)
-        centered = rows - rows.mean(axis=0)
-        s_tilde = centered.T @ centered / cfg.n
-        s_tilde = (s_tilde + s_tilde.T) / 2.0
-
-        s1, s2 = band_sums(s_tilde)
-        cross = _cross_band_sums(s_tilde, self.sigma)
+        s_tilde = mle_cov(Dataset(rows=_draw_rows(self.chol, cfg.n, seed)))
+        s1, s2 = _band_sums(s_tilde, self.dmax)
+        cross_total = np.einsum("ij,ij->", s_tilde, self.sigma)
+        cross = _per_distance_sums(s_tilde, self.sigma, self.dmax, cross_total)
         # loss(tau) = sum_d w^2 S1(d) - 2 w X(d) + T(d), all per-distance sums
-        loss_curve = self.weights**2 @ s1 - 2.0 * self.weights @ cross + self.sig_sq_band.sum()
+        loss_curve = self.w_sq @ s1 - 2.0 * (self.w @ cross) + self.sig_sq
 
         tau_hat: dict[str, int] = {}
         loss: dict[str, float] = {}
         for key, consts in self.consts.items():
-            values = profile_values(s1, s2, consts, cfg.scheme, self.grid)
+            values = _sure_values(self.w, self.gap_sq, s1, s2, consts)
             t = _smallest_argmin(self.grid, values)
             tau_hat[key] = t
             loss[key] = float(loss_curve[self.grid.index(t)])
@@ -247,19 +249,6 @@ class _ExperimentContext:
             loss=loss,
             loss_curve=loss_curve if self.keep_loss_curve else None,
         )
-
-
-def _cross_band_sums(a: Matrix, b: Matrix) -> NDArray[np.float64]:
-    """Per-distance sums of a_ij * b_ij (both triangles for d >= 1)."""
-    p = a.shape[0]
-    out = np.empty(p)
-    for d in range(p):
-        mult = 1.0 if d == 0 else 2.0
-        out[d] = mult * float(np.diagonal(a, d) @ np.diagonal(b, d))
-    return out
-
-
-Matrix = NDArray[np.float64]
 
 
 def resolve_threads(threads: int) -> int:
@@ -384,15 +373,13 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     chol = cholesky_factor(sigma)
     consts = sure_constants(config.n, c)
+    w = _weight_table(config.scheme, (tau,), tau + 1)
+    gap_sq = (consts.gamma - w) ** 2
 
     def one(rep_index: int) -> float:
         rows = _draw_rows(chol, config.n, derive_seed(config.base_seed, rep_index))
-        centered = rows - rows.mean(axis=0)
-        s_tilde = centered.T @ centered / config.n
-        s_tilde = (s_tilde + s_tilde.T) / 2.0
-        s1, s2 = band_sums(s_tilde)
-        value = profile_values(s1, s2, consts, config.scheme, (tau,))[0]
-        return (float(value) - float(risk)) / scale
+        s1, s2 = _band_sums(mle_cov(Dataset(rows=rows)), tau)
+        return (float(_sure_values(w, gap_sq, s1, s2, consts)[0]) - float(risk)) / scale
 
     threads = resolve_threads(config.threads)
     sample = np.array(_map_ordered(one, config.replications, threads))

@@ -66,9 +66,9 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .criterion import _smallest_argmin, band_sums
+from .criterion import _band_sums, _check_grid, _smallest_argmin, _weight_table, sure_constants
 from .errors import DataError, ParameterError
-from .estimate import WeightScheme
+from .estimate import Banding, WeightScheme, taper
 from .model import Matrix
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "VarApprox",
     "coeffs",
     "risk_profile",
-    "oracle_tau",
     "var_n",
     "isserlis_moment",
     "exact_sure_variance",
@@ -110,17 +109,15 @@ def coeffs(n: int, c: float, omega: float) -> CoeffSet:
         raise DataError(f"coefficients require n >= 4, got n={n}")
     if not 0.0 <= omega <= 1.0:
         raise ParameterError(f"omega must lie in [0, 1], got {omega}")
-    gamma = n / (n - 1)
-    a_n = n * (n - 3) / ((n - 1) * (n - 2) * (n + 1))
-    b_n = n / ((n + 1) * (n - 2))
-    abar = (gamma - omega) ** 2
-    bbar = c * omega - gamma
+    k = sure_constants(n)
+    abar = (k.gamma - omega) ** 2
+    bbar = c * omega - k.gamma
     return CoeffSet(
         abar=abar,
         bbar=bbar,
-        Abar=abar + a_n * bbar,
-        Bbar=omega**2 + gamma * (c - 2.0) * omega,
-        Cbar=abar + (a_n + b_n) * bbar,
+        Abar=abar + k.a_n * bbar,
+        Bbar=omega**2 + k.gamma * (c - 2.0) * omega,
+        Cbar=abar + (k.a_n + k.b_n) * bbar,
     )
 
 
@@ -140,12 +137,6 @@ class RiskProfile:
         return float(np.min(self.values))
 
 
-def _risk_coeff_vectors(w: NDArray[np.float64], n: int, c: float):
-    f1 = (n - 1) / n * w**2 - (2 * n - c) / n * w + 1.0
-    f2 = (n - 1) / n**2 * w**2 + (c - 2.0) / n * w
-    return f1, f2
-
-
 def risk_profile(
     sigma: Matrix,
     n: int,
@@ -162,25 +153,16 @@ def risk_profile(
         raise DataError(f"risk profile requires n >= 4, got n={n}")
     sigma = np.asarray(sigma, dtype=np.float64)
     p = sigma.shape[0]
-    grid = tuple(int(t) for t in (tau_grid if tau_grid is not None else range(1, min(p, n) + 1)))
-    if not grid or any(t < 1 for t in grid):
-        raise ParameterError(f"invalid tau grid {grid}")
-    t1, t2 = band_sums(sigma)
-    values = np.empty(len(grid))
-    for k, tau in enumerate(grid):
-        w = scheme.weights(tau, p)
-        f1, f2 = _risk_coeff_vectors(w, n, c)
-        values[k] = float(f1 @ t1 + f2 @ t2)
+    grid = _check_grid(tau_grid if tau_grid is not None else range(1, min(p, n) + 1))
+    t1, t2 = _band_sums(sigma, max(grid))
+    w = _weight_table(scheme, grid, max(grid) + 1)
+    # f1(0) = 1 counts the tail bin's sigma_ij^2 in full; f2(0) = 0
+    f1 = (n - 1) / n * w**2 - (2 * n - c) / n * w + 1.0
+    f2 = (n - 1) / n**2 * w**2 + (c - 2.0) / n * w
+    values = f1 @ t1 + f2 @ t2
     return RiskProfile(
         tau_grid=grid, values=values, c=float(c), oracle_tau=_smallest_argmin(grid, values)
     )
-
-
-def oracle_tau(profile: RiskProfile) -> int:
-    """Smallest tau minimizing the exact risk."""
-    if len(profile.tau_grid) == 0:
-        raise ParameterError("empty risk profile")
-    return _smallest_argmin(profile.tau_grid, np.asarray(profile.values))
 
 
 @dataclass(frozen=True)
@@ -194,14 +176,12 @@ class VarApprox:
 
 
 def _coeff_matrices(p: int, n: int, c: float, scheme: WeightScheme, tau: int):
-    dist = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    w = scheme.weights(tau, p)[dist]
-    gamma = n / (n - 1)
-    a_n = n * (n - 3) / ((n - 1) * (n - 2) * (n + 1))
-    abar = (gamma - w) ** 2
-    bbar = c * w - gamma
-    amat = abar + a_n * bbar
-    bmat = w**2 + gamma * (c - 2.0) * w  # exactly zero where w = 0
+    w = taper(np.ones((p, p)), scheme, tau).matrix
+    k = sure_constants(n)
+    abar = (k.gamma - w) ** 2
+    bbar = c * w - k.gamma
+    amat = abar + k.a_n * bbar
+    bmat = w**2 + k.gamma * (c - 2.0) * w  # exactly zero where w = 0
     return amat, bmat
 
 
@@ -265,8 +245,7 @@ def var_n(
         if truncation_band is None or truncation_band < 1:
             raise ParameterError("banded-truncated var_n needs truncation_band >= 1")
         band = int(truncation_band)
-        dist = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-        s = np.where(dist < band, sigma, 0.0)
+        s = taper(sigma, Banding(), band).matrix
     else:
         raise ParameterError(f"unknown var_n method {method!r}")
 
@@ -356,9 +335,7 @@ def exact_sure_variance(
     if not 4 <= n <= 100:
         raise ParameterError(f"exact_sure_variance needs 4 <= n <= 100, got n={n}")
 
-    gamma = n / (n - 1)
-    a_n = n * (n - 3) / ((n - 1) * (n - 2) * (n + 1))
-    b_n = n / ((n + 1) * (n - 2))
+    k = sure_constants(n)
     wvec = scheme.weights(tau, p)
 
     # SURE_c = sum over terms: coef * m[pair1] * m[pair2]
@@ -366,10 +343,10 @@ def exact_sure_variance(
     for i in range(p):
         for j in range(p):
             w = wvec[abs(i - j)]
-            abar = (gamma - w) ** 2
-            bbar = c * w - gamma
-            terms.append((abar + a_n * bbar, (i, j), (i, j)))
-            terms.append((b_n * bbar, (i, i), (j, j)))
+            abar = (k.gamma - w) ** 2
+            bbar = c * w - k.gamma
+            terms.append((abar + k.a_n * bbar, (i, j), (i, j)))
+            terms.append((k.b_n * bbar, (i, i), (j, j)))
 
     iss_cache: dict[tuple[int, ...], float] = {}
 

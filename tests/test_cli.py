@@ -59,6 +59,27 @@ def test_read_matrix_csv_errors(tmp_path):
         read_matrix_csv(str(tmp_path / "missing.csv"))
 
 
+@pytest.mark.parametrize("cell, code", [("nan", 3), ("inf", 3), ("1e200", 4)])
+def test_select_non_finite_or_overflowing_data(tmp_path, capsys, cell, code):
+    rng = np.random.default_rng(4)
+    lines = [",".join(repr(float(v)) for v in row) for row in rng.normal(size=(8, 3))]
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["select", "--data", str(path)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")  # no warnings, no traceback
+    if code == 3:
+        assert f"data.csv:3:3: non-finite value '{cell}'" in err[0]
+
+
+@pytest.mark.parametrize("tau_max", ["0", "-5"])
+def test_select_rejects_tau_max_below_one(data_csv, capsys, tau_max):
+    path, _ = data_csv
+    assert main(["select", "--data", str(path), "--tau-max", tau_max]) == 2
+    assert "tau_max must be >= 1" in capsys.readouterr().err
+
+
 def test_select_round_trip_matches_in_process(data_csv, tmp_path, capsys):
     path, ds = data_csv
     out = tmp_path / "report.json"

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from surecov.criterion import (
     CriterionProfile,
+    _per_distance_sums,
+    _smallest_argmin,
     band_sums,
     default_tau_grid,
     profile_values,
-    select_tau,
     sure_constants,
     sure_eq2_reference,
     sure_profile,
@@ -54,11 +55,52 @@ def test_band_sums_hand_case():
     assert list(s2) == [1.0 + 25.0, 2 * 5.0]
 
 
+def _symmetric(rng, p):
+    x = rng.normal(size=(p, p))
+    return x + x.T
+
+
+def _diagonal_loop(a, b, dmax):
+    """Reference: one dot product per diagonal, the tail summed from the rest."""
+    p = a.shape[0]
+    full = [float(np.diagonal(a, d) @ np.diagonal(b, d)) * (2.0 if d else 1.0) for d in range(p)]
+    return full[:dmax] + [0.0] * (dmax - min(dmax, p)) + [sum(full[dmax:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 40))
+def test_per_distance_sums_match_diagonal_loop(seed, p):
+    rng = np.random.default_rng(seed)
+    a, b = _symmetric(rng, p), _symmetric(rng, p)
+    total = float(np.sum(a * b))
+    scale = float(np.sum(np.abs(a * b)))
+    for dmax in range(1, p + 2):
+        got = _per_distance_sums(a, b, dmax, total)
+        assert got == pytest.approx(_diagonal_loop(a, b, dmax), rel=1e-12, abs=1e-13 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 40))
+def test_band_sums_invariant_under_coordinate_reversal(seed, p):
+    m = _symmetric(np.random.default_rng(seed), p)
+    s1, s2 = band_sums(m)
+    r1, r2 = band_sums(m[::-1, ::-1])
+    dvec = np.diagonal(m)
+    assert s1 == pytest.approx(_diagonal_loop(m, m, p)[:p], rel=1e-12, abs=1e-12 * p)
+    ref2 = _diagonal_loop(np.outer(dvec, dvec), np.ones((p, p)), p)[:p]
+    assert s2 == pytest.approx(ref2, rel=1e-12, abs=1e-12 * p)
+    assert r1 == pytest.approx(s1, rel=1e-12, abs=1e-12 * p)
+    assert r2 == pytest.approx(s2, rel=1e-12, abs=1e-12 * p)
+
+
 def test_default_tau_grid():
     assert default_tau_grid(10, 6) == tuple(range(1, 7))
     assert default_tau_grid(10, 60) == tuple(range(1, 11))
     assert default_tau_grid(10, 60, tau_max=4) == (1, 2, 3, 4)
     assert default_tau_grid(10, 6, tau_max=50) == tuple(range(1, 11))  # clamped to p
+    for bad in (0, -5):
+        with pytest.raises(ParameterError):
+            default_tau_grid(10, 6, tau_max=bad)
 
 
 def test_sure_identity_frozen():
@@ -73,47 +115,54 @@ def test_sure_identity_frozen():
 @given(
     seed=st.integers(0, 10_000),
     n=st.integers(4, 30),
-    p=st.integers(2, 12),
-    tau=st.integers(1, 12),
+    p=st.integers(1, 16),
+    tau=st.integers(1, 16),
     c_extra=st.floats(0.0, 3.0),
     czz=st.booleans(),
 )
 def test_dual_formula_identity(seed, n, p, tau, c_extra, czz):
-    """The band-sum fast path and the literal three-term form agree."""
+    """The band-sum fast path, cut at the grid's largest tau, and the literal
+    three-term form agree at every tau of the grid."""
     rng = np.random.default_rng(seed)
     root = rng.normal(size=(p, p))
     sigma_tilde = root @ root.T / p
     consts = sure_constants(n, 2.0 + c_extra)
     scheme = CzzTaper() if czz else Banding()
-    tau = min(tau, p)
-    fast = sure_profile(sigma_tilde, consts, scheme, (tau,)).values[0]
-    ref = sure_eq2_reference(sigma_tilde, consts, scheme, tau)
-    assert fast == pytest.approx(ref, rel=1e-10, abs=1e-10)
+    grid = tuple(range(1, min(tau, p) + 1))
+    fast = sure_profile(sigma_tilde, consts, scheme, grid).values
+    for t, value in zip(grid, fast):
+        ref = sure_eq2_reference(sigma_tilde, consts, scheme, t)
+        assert value == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
-def test_values_scale_quartically():
-    # data scaled by s multiplies sigma_tilde by s^2 and SURE by s^4
-    rng = np.random.default_rng(8)
-    root = rng.normal(size=(5, 5))
-    st_ = root @ root.T / 5
-    consts = sure_constants(9, 2.0)
-    base = sure_profile(st_, consts, Banding(), (1, 2, 3)).values
-    scaled = sure_profile(4.0 * st_, consts, Banding(), (1, 2, 3)).values
-    assert scaled == pytest.approx(16.0 * base, rel=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(4, 30), p=st.integers(1, 16), czz=st.booleans())
+def test_values_scale_quartically(seed, n, p, czz):
+    # data scaled by 2 multiplies sigma_tilde by 4 and SURE by 16; tau-hat stays
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(p, p))
+    st_ = root @ root.T / p
+    consts = sure_constants(n, 2.0)
+    scheme = CzzTaper() if czz else Banding()
+    grid = tuple(range(1, p + 1))
+    base = sure_profile(st_, consts, scheme, grid)
+    scaled = sure_profile(4.0 * st_, consts, scheme, grid)
+    assert scaled.values == pytest.approx(16.0 * base.values, rel=1e-12)
+    assert scaled.selected_tau == base.selected_tau
 
 
 def test_selection_tie_breaks_to_smallest_tau():
     grid = (3, 1, 2)
     values = np.array([5.0, 5.0, 7.0])
     profile = CriterionProfile(tau_grid=grid, values=values, c=2.0, selected_tau=1)
-    assert select_tau(profile) == 1  # smallest tau among the tied minima
+    assert _smallest_argmin(grid, values) == 1  # smallest tau among the tied minima
 
 
 def test_profile_selected_matches_helper():
     sigma = build_sigma(ArDecay(rho=0.6, p=10))
     ds = sample_dataset(sigma, 40, seed=5)
     profile = sure_profile(mle_cov(ds), sure_constants(40, 2.0), Banding(), range(1, 11))
-    assert profile.selected_tau == select_tau(profile)
+    assert profile.selected_tau == _smallest_argmin(profile.tau_grid, profile.values)
     assert profile.selected_tau in profile.tau_grid
     assert profile.value_at(profile.selected_tau) == pytest.approx(min(profile.values))
 

@@ -14,7 +14,6 @@ from surecov.estimate import (
     mle_cov,
     taper,
     unbiased_cov,
-    weight,
 )
 from surecov.model import Dataset
 
@@ -22,8 +21,8 @@ from surecov.model import Dataset
 def test_banding_weights_are_indicators():
     w = Banding().weights(3, 6)
     assert list(w) == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
-    assert weight(Banding(), 3, 2) == 1.0
-    assert weight(Banding(), 3, 3) == 0.0
+    assert Banding().weight(3, 2) == 1.0
+    assert Banding().weight(3, 3) == 0.0
 
 
 @given(tau=st.integers(1, 60), d=st.integers(0, 80))
@@ -134,3 +133,22 @@ def test_taper_zeroes_beyond_band():
     dist = np.abs(np.subtract.outer(np.arange(6), np.arange(6)))
     assert np.all(est.matrix[dist >= 2] == 0.0)
     assert np.array_equal(est.matrix[dist < 2], sigma[dist < 2])
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        Banding(),
+        CzzTaper(),
+        CustomToeplitz({t: [1.0] * (t // 2 + 1) + [0.5] * (t - t // 2 - 1) for t in range(1, 11)}),
+    ],
+)
+def test_taper_matches_dense_definition(scheme):
+    """Byte for byte ``w[|i-j|] * s``, including the -0.0 of negative entries."""
+    rng = np.random.default_rng(3)
+    root = rng.normal(size=(9, 9))
+    sigma = root @ root.T / 9 - 0.5
+    dist = np.abs(np.subtract.outer(np.arange(9), np.arange(9)))
+    for tau in range(1, 11):
+        expected = scheme.weights(tau, 9)[dist] * sigma
+        assert taper(sigma, scheme, tau).matrix.tobytes() == expected.tobytes()

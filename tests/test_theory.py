@@ -23,7 +23,6 @@ from surecov.theory import (
     coeffs,
     exact_sure_variance,
     isserlis_moment,
-    oracle_tau,
     risk_profile,
     var_n,
 )
@@ -80,7 +79,6 @@ def test_risk_identity_frozen():
     profile = risk_profile(np.eye(3), 5, Banding(), 2.0, (1, 2, 3))
     assert profile.values == pytest.approx([1.08, 1.72, 2.04], rel=1e-13)
     assert profile.oracle_tau == 1
-    assert oracle_tau(profile) == 1
     assert profile.min_value() == pytest.approx(1.08)
 
 
