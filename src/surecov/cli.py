@@ -256,7 +256,7 @@ def _add_common(sub: argparse.ArgumentParser, *, threads: bool = True) -> None:
     sub.add_argument("--out", help="write the report here instead of stdout")
     if threads:
         sub.add_argument(
-            "--threads", type=int, help="worker threads (0 = auto / SURECOV_THREADS)"
+            "--threads", type=int, help="worker threads (0 = SURECOV_THREADS, else 1)"
         )
 
 

@@ -10,6 +10,7 @@ counts) from a ``meta`` section holding wall time and runtime facts.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -115,7 +117,7 @@ class ExperimentConfig:
     tau_fixed: int | None = None  # clt only
     var_method: str | None = None  # clt only: exact | banded-truncated | None = auto
     truncation_band: int | None = None
-    threads: int = 0  # 0 = SURECOV_THREADS env, else cpu count
+    threads: int = 0  # 0 = SURECOV_THREADS env, else 1
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -252,6 +254,11 @@ class _ExperimentContext:
 
 
 def resolve_threads(threads: int) -> int:
+    """Replication pool size: ``threads``, else ``SURECOV_THREADS``, else 1.
+
+    One worker by default: it leaves the other cores to the rest of a shared
+    host, so its speed does not swing with their load; a pool is opt-in.
+    """
     if threads > 0:
         return threads
     env = os.environ.get("SURECOV_THREADS", "")
@@ -262,15 +269,44 @@ def resolve_threads(threads: int) -> int:
             raise ParameterError(f"SURECOV_THREADS must be an integer, got {env!r}") from None
         if value > 0:
             return value
-    return os.cpu_count() or 1
+    return 1
+
+
+@lru_cache(maxsize=1)
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` (it returns the previous count) of an
+    OpenBLAS this process has loaded, or None: another BLAS, or no ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+        fns = (getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None) for path in paths)
+        return next((fn for fn in fns if fn is not None), None)
+    except OSError:
+        return None
+
+
+def _set_blas_threads(count: int) -> int:
+    setter = _blas_thread_setter()
+    return setter(count) if setter else 0
 
 
 def _map_ordered(fn, count: int, threads: int) -> list:
-    """Apply fn to 0..count-1, returning results in index order."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(count)))
+    """Apply fn to 0..count-1, returning results in index order.
+
+    BLAS runs on one thread meanwhile: the pool is the parallelism, BLAS
+    threads under it would oversubscribe the cores, and one BLAS thread at
+    every pool size keeps the results bitwise independent of ``threads``.
+    Some OpenBLAS builds keep that count process-wide, so every worker sets it
+    and the caller's count comes back only after the last call.
+    """
+    previous = _set_blas_threads(1)
+    try:
+        if threads <= 1 or count <= 1:
+            return [fn(i) for i in range(count)]
+        with ThreadPoolExecutor(threads, initializer=_set_blas_threads, initargs=(1,)) as ex:
+            return list(ex.map(fn, range(count)))
+    finally:
+        _set_blas_threads(previous)
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationRecord:
@@ -279,7 +315,8 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationReco
     Prefer :func:`run_experiment` for many replications: this convenience
     entry refactorizes the model covariance on every call.
     """
-    return _ExperimentContext(config).replicate(rep_index)
+    ctx = _ExperimentContext(config)
+    return _map_ordered(lambda _: ctx.replicate(rep_index), 1, 1)[0]  # BLAS as in run_experiment
 
 
 def _mean_se(values: NDArray[np.float64]) -> tuple[float, float | None]:

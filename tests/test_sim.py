@@ -18,6 +18,8 @@ from surecov.model import (
 )
 from surecov.sim import (
     ExperimentConfig,
+    _blas_thread_setter,
+    _map_ordered,
     clt_experiment,
     consistency_experiment,
     derive_seed,
@@ -114,6 +116,19 @@ def test_payload_bytes_identical_across_thread_counts():
     # meta is excluded from the canonical payload
     assert b"wall_time" not in r1.payload_bytes()
     assert "wall_time_s" in r1.meta
+
+
+def test_replications_run_on_one_blas_thread():
+    """Each call of the replication map sees one BLAS thread at every pool
+    size, and the caller's BLAS thread count comes back afterwards."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = setter(1)
+    setter(before)
+    for threads in (1, 3):
+        assert _map_ordered(lambda i: setter(1), 6, threads) == [1] * 6
+        assert setter(before) == before
 
 
 def test_report_json_round_trip():
@@ -236,7 +251,7 @@ def test_resolve_threads(monkeypatch):
     with pytest.raises(ParameterError):
         resolve_threads(0)
     monkeypatch.delenv("SURECOV_THREADS")
-    assert resolve_threads(0) >= 1
+    assert resolve_threads(0) == 1
 
 
 def test_presets():
