@@ -149,10 +149,7 @@ def mle_cov(data: Dataset) -> Matrix:
     if data.n < 3:
         raise DataError(f"need n >= 3 observations, got n={data.n}")
     centered = data.rows - data.rows.mean(axis=0)
-    s = centered.T @ centered / data.n
-    # force exact symmetry: the BLAS product can differ across the diagonal
-    # in the last bit
-    return (s + s.T) / 2.0
+    return centered.T @ centered / data.n  # numpy runs X'X as syrk: exactly symmetric
 
 
 def unbiased_cov(sigma_tilde: Matrix, n: int) -> Matrix:
@@ -182,6 +179,6 @@ def frob_sq_dist(a: Matrix, b: Matrix) -> float:
     if a.shape != b.shape:
         raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = (a - b).ravel()
-    # numpy dot uses pairwise/blocked accumulation, keeping rounding error
-    # negligible for p ~ 1000 matrices
-    return float(diff @ diff)
+    # einsum, not diff @ diff: a BLAS ddot this long goes multi-threaded, which
+    # on a small host costs far more than the sum itself
+    return float(np.einsum("i,i->", diff, diff))

@@ -303,7 +303,8 @@ def _map_ordered(fn, count: int, threads: int) -> list:
     try:
         if threads <= 1 or count <= 1:
             return [fn(i) for i in range(count)]
-        with ThreadPoolExecutor(threads, initializer=_set_blas_threads, initargs=(1,)) as ex:
+        workers = min(threads, count)
+        with ThreadPoolExecutor(workers, initializer=_set_blas_threads, initargs=(1,)) as ex:
             return list(ex.map(fn, range(count)))
     finally:
         _set_blas_threads(previous)

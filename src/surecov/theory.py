@@ -43,9 +43,11 @@ for ``|i-j| >= tau``, which the computation relies on):
     + 8(n-2)^2/n^4   * sum Abar_ij Bbar_st s_ij (s_ss s_it s_jt + s_tt s_is s_js)
 
 (``s`` = sigma here).  All terms except one contraction inside the second sum
-reduce to matrix products; the remaining genuinely quartic contraction is
-evaluated with an O(p^4) blocked loop (capped at p = 64) or, for banded
-truncations, an O(p k^3) windowed loop.
+reduce to matrix products; the remaining genuinely quartic contraction is an
+O(p^4) loop (capped at p = 64).  For sigma banded at width k, ``Abar =
+alpha0 11^T + T`` with ``alpha0 = Abar(w = 0) = gamma^2 - a_n gamma`` and ``T``,
+like ``Bbar``, Toeplitz and zero from distance tau on, so each product is a
+rank-one part plus banded ones: O(p k^2 (k + tau)) time on band storage.
 
 Oracles
 -------
@@ -68,7 +70,7 @@ from numpy.typing import NDArray
 
 from .criterion import _band_sums, _check_grid, _smallest_argmin, _weight_table, sure_constants
 from .errors import DataError, ParameterError
-from .estimate import Banding, WeightScheme, taper
+from .estimate import WeightScheme
 from .model import Matrix
 
 __all__ = [
@@ -175,14 +177,13 @@ class VarApprox:
     truncation_band: int | None = None
 
 
-def _coeff_matrices(p: int, n: int, c: float, scheme: WeightScheme, tau: int):
-    w = taper(np.ones((p, p)), scheme, tau).matrix
+def _coeff_vectors(n: int, c: float, scheme: WeightScheme, tau: int, dmax: int):
+    # Abar(w_d) and Bbar(w_d) for d < dmax; Bbar is exactly 0 where w_d = 0
+    w = scheme.weights(tau, dmax)
     k = sure_constants(n)
     abar = (k.gamma - w) ** 2
     bbar = c * w - k.gamma
-    amat = abar + k.a_n * bbar
-    bmat = w**2 + k.gamma * (c - 2.0) * w  # exactly zero where w = 0
-    return amat, bmat
+    return abar + k.a_n * bbar, w**2 + k.gamma * (c - 2.0) * w
 
 
 def _quartic_contraction_dense(amat: Matrix, s: Matrix) -> float:
@@ -194,21 +195,85 @@ def _quartic_contraction_dense(amat: Matrix, s: Matrix) -> float:
     return total
 
 
-def _quartic_contraction_banded(amat: Matrix, s: Matrix, band: int) -> float:
-    # same contraction, skipping windows where a sigma cross-factor vanishes:
-    # s_is != 0 needs |i-s| < band, so s,t range over a window of width
-    # < 2*band around (i, j) and |i-j| <= 2*band-2
+# Band storage: a (p, 2h-1) array x holds the entries (i, i+e), |e| < h, of a
+# p x p matrix at x[i, e+h-1], with 0 where i+e falls outside the matrix.
+
+
+def _windows(v: NDArray[np.float64], width: int) -> NDArray[np.float64]:
+    # band-storage layout of v: row i holds v[i+e] for |e| <= width // 2, 0 outside
+    return np.lib.stride_tricks.sliding_window_view(np.pad(v, width // 2), width)
+
+
+def _toeplitz_band(vals: NDArray[np.float64], p: int) -> NDArray[np.float64]:
+    # symmetric Toeplitz matrix with entries vals[d] for d < len(vals), 0 beyond
+    return _windows(np.ones(p), 2 * len(vals) - 1) * np.concatenate([vals[:0:-1], vals])
+
+
+def _band_mul(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
+    # band storage of the product: one shifted row block of y per diagonal of x
+    p, wx = x.shape
+    ypad = np.pad(y, ((wx // 2, wx // 2), (0, 0)))
+    out = np.zeros((p, wx + y.shape[1] - 1))
+    for a in range(wx):
+        out[:, a : a + y.shape[1]] += x[:, a, None] * ypad[a : a + p]
+    return out
+
+
+def _band_vec(x: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float64]:
+    return np.einsum("ia,ia->i", x, _windows(v, x.shape[1]))
+
+
+def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, tau: int, band: int):
+    # the sums var_n combines, on band storage (see the module docstring);
+    # sigma is read only inside the band, which is clamped to p
+    p = sigma.shape[0]
+    k = min(band, p)
+    ht = min(tau, p)
+    avec, bvec = _coeff_vectors(n, c, scheme, tau, max(tau, 2 * k - 1) + 1)
+    alpha0 = avec[-1]  # w = 0 from distance tau on
+    cols = np.arange(p)[:, None] + np.arange(1 - k, k)
+    s = np.where((cols >= 0) & (cols < p), sigma[np.arange(p)[:, None], cols % p], 0.0)
+    m = s * s
+    tb = _toeplitz_band(avec[:ht] - alpha0, p)
+    u = _band_vec(_toeplitz_band(bvec[:ht], p), s[:, k - 1])  # u_j = sum_i Bbar_ij s_ii
+    # sum Abar o (M Abar M) = tr(Abar M Abar M) = sum_ij (Abar M)_ij (M Abar)_ij
+    # with Abar M = alpha0 1r' + TM, r = M1: entrywise where TM has its band,
+    # alpha0^2 r_i r_j beyond.  Expanding the square into alpha0^2 (1'r)^2 +
+    # 2 alpha0 r'Tr + tr(TMTM) would cancel wherever Abar is near 0 in the band.
+    r = m.sum(axis=1)
+    tm, mt = _band_mul(tb, m), _band_mul(m, tb)
+    near = (alpha0 * _windows(r, tm.shape[1]) + tm) * (alpha0 * r[:, None] + mt)
+    far = np.cumsum(r[::-1])[::-1][tm.shape[1] // 2 + 1 :]  # r_j summed beyond the band
+    a_mam = np.sum(near) + 2.0 * alpha0**2 * (r[: far.size] @ far)
+    pm = _toeplitz_band(avec[:k], p) * s  # P = Abar o sigma
+    ps, sp = _band_mul(pm, s), _band_mul(s, pm)
+    sps_diag = np.einsum("ia,ia->i", sp[:, k - 1 : 3 * k - 2], s)
+    # quartic sum_ij Abar_ij v_ij' Abar v_ij with v_ij = s_i. o s_j., which lives
+    # on the 2k-1 columns around i and vanishes for |i-j| > 2k-2; by symmetry
+    # in (i, j) each offset e > 0 counts twice
+    w = 2 * k - 1
+    ablock = avec[np.abs(np.arange(w)[:, None] - np.arange(w))]
+    quartic = 0.0
+    for e in range(min(w, p)):
+        ve = s[: p - e, e:] * s[e:, : w - e]
+        quartic += (1.0 if e == 0 else 2.0) * avec[e] * np.einsum(
+            "ia,ab,ib->", ve, ablock[: w - e, : w - e], ve
+        )
+    return u @ _band_vec(m, u), a_mam, quartic, np.sum(ps * sp), u @ sps_diag
+
+
+def _var_terms_dense(s: Matrix, n: int, c: float, scheme: WeightScheme, tau: int):
     p = s.shape[0]
-    total = 0.0
-    for i in range(p):
-        for j in range(max(0, i - 2 * band + 2), min(p, i + 2 * band - 1)):
-            lo = max(0, max(i, j) - band + 1)
-            hi = min(p, min(i, j) + band)
-            if lo >= hi:
-                continue
-            w = s[i, lo:hi] * s[j, lo:hi]
-            total += amat[i, j] * float(w @ amat[lo:hi, lo:hi] @ w)
-    return total
+    avec, bvec = _coeff_vectors(n, c, scheme, tau, p)
+    dist = np.abs(np.arange(p)[:, None] - np.arange(p))
+    amat, bmat = avec[dist], bvec[dist]
+    u = bmat @ np.diagonal(s)  # u_j = sum_i Bbar_ij s_ii
+    msq = s * s
+    pmat = amat * s
+    sps = s @ pmat @ s
+    a_mam = np.sum(amat * (msq @ amat @ msq))
+    quartic = _quartic_contraction_dense(amat, s)
+    return u @ msq @ u, a_mam, quartic, np.sum(pmat * sps), u @ np.diagonal(sps)
 
 
 def var_n(
@@ -224,52 +289,40 @@ def var_n(
 
     ``method="exact"`` performs the full quadruple sum (p capped at
     ``VAR_EXACT_CAP``).  ``method="banded-truncated"`` treats ``sigma`` as
-    exactly zero outside ``|i-j| < truncation_band``; every (i,j,s,t) tuple
-    whose sigma cross-factors all vanish is skipped, which is lossless when
-    ``sigma`` really is banded with bandwidth <= truncation_band and an
-    approximation otherwise.
+    exactly zero outside ``|i-j| < truncation_band`` (a band wider than p
+    keeps all of it) and works on band storage in O(p k^2 (k + tau)) time
+    and O(p (k + tau)) memory; this is lossless when ``sigma`` really is
+    banded with bandwidth <= truncation_band and an approximation otherwise.
     """
     if n < 4:
         raise DataError(f"var_n requires n >= 4, got n={n}")
     sigma = np.asarray(sigma, dtype=np.float64)
     p = sigma.shape[0]
+    band = None
     if method == "exact":
         if p > VAR_EXACT_CAP:
             raise ParameterError(
                 f"exact var_n is O(p^4) and capped at p={VAR_EXACT_CAP}; "
                 f"got p={p} -- use method='banded-truncated' with a truncation band"
             )
-        s = sigma
-        band = None
+        bb, a_mam, quartic, cross, ab = _var_terms_dense(sigma, n, c, scheme, tau)
     elif method == "banded-truncated":
         if truncation_band is None or truncation_band < 1:
             raise ParameterError("banded-truncated var_n needs truncation_band >= 1")
         band = int(truncation_band)
-        s = taper(sigma, Banding(), band).matrix
+        bb, a_mam, quartic, cross, ab = _var_terms_banded(sigma, n, c, scheme, tau, band)
     else:
         raise ParameterError(f"unknown var_n method {method!r}")
-
-    amat, bmat = _coeff_matrices(p, n, c, scheme, tau)
-    diag = np.diagonal(s).copy()
-    u = bmat @ diag  # u_j = sum_i Bbar_ij s_ii
-    msq = s * s
-    pmat = amat * s
-    sps = s @ pmat @ s
-    mam = msq @ amat @ msq
 
     n4 = float(n) ** 4
     # the four summands, each contracted by symmetry of the coefficient
     # matrices under (i<->j), (s<->t) relabeling
-    term_bb = 8.0 * (n - 2) / n4 * float(u @ msq @ u)
-    if band is None:
-        quartic = _quartic_contraction_dense(amat, s)
-    else:
-        quartic = _quartic_contraction_banded(amat, s, band)
-    term_aa_sq = 2.0 * (n - 1) * (n - 2) / n4 * (2.0 * float(np.sum(amat * mam)) + 2.0 * quartic)
-    term_aa_cross = 8.0 * (n - 2) ** 3 / n4 * float(np.sum(pmat * sps))
-    term_ab = 16.0 * (n - 2) ** 2 / n4 * float(u @ np.diagonal(sps))
-
-    value = term_bb + term_aa_sq + term_aa_cross + term_ab
+    value = float(
+        8.0 * (n - 2) / n4 * bb
+        + 2.0 * (n - 1) * (n - 2) / n4 * (2.0 * a_mam + 2.0 * quartic)
+        + 8.0 * (n - 2) ** 3 / n4 * cross
+        + 16.0 * (n - 2) ** 2 / n4 * ab
+    )
     return VarApprox(tau=int(tau), value=value, method=method, truncation_band=band)
 
 

@@ -82,6 +82,16 @@ def test_mle_cov_small_case():
     assert np.array_equal(s, s.T)
 
 
+@pytest.mark.parametrize("n,p", [(250, 500), (100, 5000), (20, 10), (3, 1), (7, 3), (500, 64)])
+def test_mle_cov_exactly_symmetric(n, p):
+    """The gram needs no symmetrisation: it equals its transpose bit for bit,
+    so it also equals the (s + s') / 2 it used to return."""
+    rows = np.random.default_rng(n * p).normal(size=(n, p))
+    s = mle_cov(Dataset(rows=rows))
+    assert np.array_equal(s, s.T)
+    assert s.tobytes() == ((s + s.T) / 2.0).tobytes()
+
+
 def test_mle_cov_translation_invariant():
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(12, 5))
@@ -118,6 +128,12 @@ def test_frob_sq_dist_properties(seed):
     assert d == frob_sq_dist(b, a)
     assert frob_sq_dist(a, a) == 0.0
     assert frob_sq_dist(2 * a, 2 * b) == pytest.approx(4 * d, rel=1e-12)
+
+
+def test_frob_sq_dist_matches_elementwise_sum():
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=(2, 500, 500))
+    assert frob_sq_dist(a, b) == pytest.approx(np.sum((a - b) ** 2), rel=1e-12)
 
 
 def test_frob_sq_dist_shape_mismatch():

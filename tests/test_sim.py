@@ -33,6 +33,7 @@ from surecov.sim import (
     table1_config,
     table2_config,
 )
+from surecov.theory import VAR_EXACT_CAP
 
 
 def test_derive_seed_stable_and_distinct():
@@ -131,6 +132,30 @@ def test_replications_run_on_one_blas_thread():
         assert setter(before) == before
 
 
+def test_pool_is_capped_at_the_replication_count(monkeypatch):
+    """A thread count above the number of replications starts no idle workers;
+    the stand-in executor records the pool size and starts no threads."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("surecov.sim.ThreadPoolExecutor", Recorder)
+    assert _map_ordered(lambda i: i * i, 3, 10_000) == [0, 1, 4]
+    assert _map_ordered(lambda i: i, 5, 2) == list(range(5))
+    assert sizes == [3, 2]
+
+
 def test_report_json_round_trip():
     report = run_experiment(_small_config(reps=4))
     doc = json.loads(report.to_json())
@@ -209,6 +234,18 @@ def test_clt_small_run_is_roughly_standardized():
     assert abs(res["standardized_mean"]) < 0.5
     assert 0.5 < res["standardized_var"] < 2.0
     assert res["ks_distance"] < 0.2
+
+
+def test_clt_banded_truncated_above_the_exact_cap():
+    cfg = ExperimentConfig(
+        model=BandedUniform(k0=3, offdiag=0.25, p=VAR_EXACT_CAP + 16), n=30,
+        c_values=(2.0,), replications=4, base_seed=5, kind="clt", tau_fixed=4,
+        var_method="banded-truncated", truncation_band=3,
+    )
+    res = clt_experiment(cfg).results
+    assert res["var_method"] == "banded-truncated"
+    assert math.isfinite(res["var_n"]) and res["var_n"] > 0.0
+    assert math.isfinite(res["standardized_mean"])
 
 
 def test_consistency_requires_banded_model():

@@ -9,6 +9,7 @@ Frozen values (exact rational arithmetic, computed before implementation):
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surecov.errors import DataError, ParameterError
-from surecov.estimate import Banding, CzzTaper
+from surecov.estimate import Banding, CustomToeplitz, CzzTaper, taper
 from surecov.model import BandedUniform, build_sigma
 from surecov.theory import (
     VAR_EXACT_CAP,
@@ -158,6 +159,50 @@ def test_var_n_truncation_lossless_on_banded_sigma():
         sigma, n, Banding(), 4, 2.0, method="banded-truncated", truncation_band=3
     ).value
     assert truncated == pytest.approx(exact, rel=1e-12)
+
+
+@st.composite
+def _schemes(draw, tau):
+    kind = draw(st.sampled_from(["banding", "czz", "custom"]))
+    if kind == "banding":
+        return Banding()
+    if kind == "czz":
+        return CzzTaper()
+    size = tau - tau // 2 - 1
+    tail = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    return CustomToeplitz({tau: [1.0] * (tau // 2 + 1) + tail})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 6.0))
+def test_var_n_banded_equals_exact_on_truncated_sigma(data, p, seed, c):
+    """The band-storage evaluation is the dense quadruple sum of the banded
+    truncation of sigma, for every band and tau, also beyond p."""
+    band = data.draw(st.integers(1, p + 2), label="band")
+    tau = data.draw(st.integers(1, p + 2), label="tau")
+    scheme = data.draw(_schemes(tau), label="scheme")
+    root = np.random.default_rng(seed).normal(size=(p, p))
+    sigma = root @ root.T / p + 0.5 * np.eye(p)
+    n = 30
+    banded = var_n(sigma, n, scheme, tau, c, method="banded-truncated", truncation_band=band)
+    dense = var_n(taper(sigma, Banding(), band).matrix, n, scheme, tau, c)
+    assert banded.value == pytest.approx(dense.value, rel=1e-12)
+    assert banded.truncation_band == band
+
+
+def test_var_n_banded_allocates_no_p_by_p_array():
+    p = 2000
+    sigma = build_sigma(BandedUniform(k0=5, offdiag=0.25, p=p))
+    tracemalloc.start()
+    try:
+        value = var_n(
+            sigma, 250, CzzTaper(), 8, 2.0, method="banded-truncated", truncation_band=5
+        ).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < p * p * 8 / 8
 
 
 def test_var_n_guards():
