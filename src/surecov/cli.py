@@ -9,9 +9,12 @@ clt         standardized-SURE normality experiment at a fixed tau
 table1      shorthand for the decay-model loss benchmark
 table2      shorthand for the banded-model selection benchmark
 
-Config files are flat ``key = value`` text with keys equal to the long flag
-names (e.g. ``tau-max = 40``); values given on the command line win.  Exit
-codes: 0 success, 2 usage/config error, 3 data error, 4 numerical failure.
+Every subcommand's flags are declared once, in ``COMMANDS``.  Config files are
+flat ``key = value`` text with keys equal to the long flag names (e.g.
+``tau-max = 40``); each line is parsed as ``--key=value`` by the same
+subparser, so file values get the same types and choices as flags, and values
+given on the command line win.  Exit codes: 0 success, 2 usage/config error,
+3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .criterion import default_tau_grid, sure_constants, sure_profile
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import Banding, CzzTaper, TaperedEstimate, WeightScheme, mle_cov, taper
+from .estimate import Banding, CzzTaper, WeightScheme, mle_cov, taper
 from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay, build_sigma
 from .sim import (
     ExperimentConfig,
@@ -56,6 +59,11 @@ def parse_c(text: str) -> float | str:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"c must be a number or 'logn', got {text!r}") from None
+
+
+def parse_c_list(text: str) -> list[float | str]:
+    """Comma-separated penalty multipliers, e.g. ``2,logn``."""
+    return [parse_c(part) for part in text.split(",") if part.strip()]
 
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -88,34 +96,20 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def apply_config_file(ns: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
-    """Fill namespace holes from the config file; CLI-given values win.
-
-    All subparser defaults are ``None`` sentinels, so "the user passed this
-    flag" is exactly "the attribute is not None".
-    """
-    if getattr(ns, "config", None) is None:
-        return
-    actions = {
-        opt.lstrip("-"): act for act in sub._actions for opt in act.option_strings
+def config_argv(path: str, flags: dict[str, dict]) -> list[str]:
+    """The config file as ``--key=value`` arguments; a true switch is ``--key``."""
+    options = {
+        opt[2:]: kw for names, kw in flags.items() for opt in names.split() if opt.startswith("--")
     }
-    for key, value in load_config_file(ns.config).items():
-        if key not in actions or key in ("config", "help"):
-            raise ParameterError(f"unknown config key {key!r} in {ns.config}")
-        act = actions[key]
-        if getattr(ns, act.dest) is not None:
-            continue  # explicit flag wins
-        if isinstance(act, argparse._StoreTrueAction):
-            setattr(ns, act.dest, parse_bool(value))
-        elif isinstance(act, argparse._AppendAction):
-            cast = act.type or str
-            setattr(ns, act.dest, [cast(part) for part in value.split(",") if part.strip()])
-        else:
-            cast = act.type or str
-            try:
-                setattr(ns, act.dest, cast(value))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ParameterError(f"config key {key!r}: {exc}") from None
+    argv = []
+    for key, value in load_config_file(path).items():
+        if key not in options or key == "config":
+            raise ParameterError(f"unknown config key {key!r} in {path}")
+        if options[key].get("action") != "store_true":
+            argv.append(f"--{key}={value}")
+        elif parse_bool(value):
+            argv.append(f"--{key}")
+    return argv
 
 
 def _default(ns: argparse.Namespace, attr: str, value) -> None:
@@ -181,19 +175,21 @@ def write_profile_csv(path: str, grid: tuple[int, ...], values) -> None:
             fh.write(f"{t},{_format_float(v)}\n")
 
 
-def write_estimate(path: str, estimate: TaperedEstimate, fmt: str) -> None:
-    """Dense CSV, or ``i,j,value`` triplets (1-based, upper triangle) for the band."""
-    mat = estimate.matrix
+def write_estimate(
+    path: str, s_tilde: np.ndarray, scheme: WeightScheme, tau: int, fmt: str
+) -> None:
+    """``taper(s_tilde, scheme, tau)`` as dense CSV, or for ``fmt == "band"`` as
+    ``i,j,value`` triplets (1-based, upper triangle) read off ``s_tilde``'s band."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "dense":
-            for row in mat:
-                fh.write(",".join(_format_float(v) for v in row) + "\n")
-        else:
-            p = mat.shape[0]
-            tau = estimate.tau
+        if fmt == "band":
+            p = s_tilde.shape[0]
+            w = scheme.weights(tau, tau)
             for i in range(p):
-                for j in range(i, min(i + tau, p)):
-                    fh.write(f"{i + 1},{j + 1},{_format_float(mat[i, j])}\n")
+                for d, v in enumerate(w[: p - i] * s_tilde[i, i : i + tau]):
+                    fh.write(f"{i + 1},{i + d + 1},{_format_float(v)}\n")
+        else:
+            for row in taper(s_tilde, scheme, tau).matrix:
+                fh.write(",".join(_format_float(v) for v in row) + "\n")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -207,11 +203,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def model_from_args(ns: argparse.Namespace) -> CovModel:
+    """The model of ``--model`` and its flags; every caller also needs ``--n``."""
     kind = ns.model
     if kind is None:
         raise ParameterError("a model is required: pass --model or a preset")
     if ns.p is None:
         raise ParameterError("--p is required with --model")
+    if ns.n is None:
+        raise ParameterError("--n is required")
     if kind == "poly-decay":
         _default(ns, "rho", 0.6)
         if ns.alpha is None:
@@ -221,43 +220,21 @@ def model_from_args(ns: argparse.Namespace) -> CovModel:
         if ns.rho is None:
             raise ParameterError("ar-decay requires --rho")
         return ArDecay(rho=ns.rho, p=ns.p)
-    if kind == "banded-uniform":
-        _default(ns, "k0", 5)
-        _default(ns, "offdiag", 0.25)
-        return BandedUniform(
-            k0=ns.k0,
-            offdiag=ns.offdiag,
-            p=ns.p,
-            unit_diagonal=bool(ns.unit_diagonal),
-        )
-    raise ParameterError(f"unknown model {kind!r}")
+    _default(ns, "k0", 5)  # banded-uniform
+    _default(ns, "offdiag", 0.25)
+    return BandedUniform(
+        k0=ns.k0,
+        offdiag=ns.offdiag,
+        p=ns.p,
+        unit_diagonal=bool(ns.unit_diagonal),
+    )
+
+
+_SCHEMES: dict[str, WeightScheme] = {"banding": Banding(), "czz": CzzTaper()}
 
 
 def scheme_from_name(name: str | None) -> WeightScheme:
-    if name in (None, "banding"):
-        return Banding()
-    if name == "czz":
-        return CzzTaper()
-    raise ParameterError(f"unknown scheme {name!r}")
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", choices=["poly-decay", "ar-decay", "banded-uniform"])
-    sub.add_argument("--rho", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--k0", type=int)
-    sub.add_argument("--offdiag", type=float)
-    sub.add_argument("--unit-diagonal", action="store_true", default=None)
-    sub.add_argument("--p", type=int)
-
-
-def _add_common(sub: argparse.ArgumentParser, *, threads: bool = True) -> None:
-    sub.add_argument("--config", help="key = value file; flags override it")
-    sub.add_argument("--out", help="write the report here instead of stdout")
-    if threads:
-        sub.add_argument(
-            "--threads", type=int, help="worker threads (0 = SURECOV_THREADS, else 1)"
-        )
+    return _SCHEMES[name or "banding"]
 
 
 # --- subcommands -----------------------------------------------------------
@@ -267,7 +244,6 @@ def cmd_select(ns: argparse.Namespace) -> int:
     if ns.data is None:
         raise ParameterError("select requires --data")
     _default(ns, "c", 2.0)
-    _default(ns, "format", "dense")
     scheme = scheme_from_name(ns.scheme)
     data = read_matrix_csv(ns.data)
     n, p = data.shape
@@ -281,7 +257,7 @@ def cmd_select(ns: argparse.Namespace) -> int:
     if ns.profile_out:
         write_profile_csv(ns.profile_out, profile.tau_grid, profile.values)
     if ns.estimate_out:
-        write_estimate(ns.estimate_out, taper(s_tilde, scheme, tau_hat), ns.format)
+        write_estimate(ns.estimate_out, s_tilde, scheme, tau_hat, ns.format)
     report = {
         "config": {
             "subcommand": "select",
@@ -304,18 +280,15 @@ def cmd_select(ns: argparse.Namespace) -> int:
 
 
 def _experiment_overrides(ns: argparse.Namespace, config: ExperimentConfig) -> ExperimentConfig:
-    updates = {}
-    if ns.replications is not None:
-        updates["replications"] = ns.replications
-    if ns.seed is not None:
-        updates["base_seed"] = ns.seed
-    if ns.threads is not None:
-        updates["threads"] = ns.threads
-    if getattr(ns, "tau_max", None) is not None:
-        updates["tau_max"] = ns.tau_max
-    if getattr(ns, "n", None) is not None:
-        updates["n"] = ns.n
-    return dataclasses.replace(config, **updates) if updates else config
+    """``config`` with every experiment flag that was given."""
+    given = {
+        "replications": ns.replications,
+        "base_seed": ns.seed,
+        "threads": ns.threads,
+        "tau_max": getattr(ns, "tau_max", None),
+        "n": ns.n,
+    }
+    return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
 def _run_by_kind(config: ExperimentConfig):
@@ -353,50 +326,30 @@ def _simulate_csv(report) -> str:
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    _default(ns, "format", "json")
     if ns.preset == "table1":
-        _default(ns, "variant", "model1-a05")
-        config = table1_config(
-            ns.variant,
-            fast=bool(ns.fast),
-            replications=ns.replications,
-            base_seed=ns.seed or 0,
-            threads=ns.threads or 0,
-        )
+        # a positional variant is on the command line, so it beats the config file
+        variant = getattr(ns, "variant_pos", None) or ns.variant or "model1-a05"
+        config = table1_config(variant, fast=bool(ns.fast))
         if ns.p is not None:
             config = dataclasses.replace(
                 config, model=dataclasses.replace(config.model, p=ns.p)
             )
-        config = _experiment_overrides(ns, config)
     elif ns.preset == "table2":
         config = table2_config(
             p=ns.p if ns.p is not None else 500,
             fast=bool(ns.fast),
-            replications=ns.replications,
-            base_seed=ns.seed or 0,
-            threads=ns.threads or 0,
             unit_diagonal=bool(ns.unit_diagonal),
         )
-        config = _experiment_overrides(ns, config)
-    elif ns.preset is None:
-        model = model_from_args(ns)
-        if ns.n is None:
-            raise ParameterError("--n is required")
+    else:
         config = ExperimentConfig(
-            model=model,
+            model=model_from_args(ns),
             n=ns.n,
             scheme=scheme_from_name(ns.scheme),
             c_values=tuple(ns.c) if ns.c else (2.0,),
-            replications=ns.replications if ns.replications is not None else 100,
-            base_seed=ns.seed or 0,
-            tau_max=ns.tau_max,
             kind=ns.kind or "table",
-            threads=ns.threads or 0,
         )
-    else:
-        raise ParameterError(f"unknown preset {ns.preset!r}; choose table1 or table2")
 
-    report = _run_by_kind(config)
+    report = _run_by_kind(_experiment_overrides(ns, config))
     if ns.format == "csv":
         _emit(_simulate_csv(report), ns.out)
     else:
@@ -406,8 +359,6 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 
 def cmd_risk(ns: argparse.Namespace) -> int:
     model = model_from_args(ns)
-    if ns.n is None:
-        raise ParameterError("--n is required")
     _default(ns, "c", 2.0)
     c = math.log(ns.n) if ns.c == "logn" else float(ns.c)
     scheme = scheme_from_name(ns.scheme)
@@ -415,10 +366,10 @@ def cmd_risk(ns: argparse.Namespace) -> int:
     grid = default_tau_grid(model.p, ns.n, ns.tau_max)
     profile = risk_profile(sigma, ns.n, scheme, c, grid)
 
-    lines = []
-    if ns.with_var:
-        lines.append("tau,risk,var_n")
-        for t, r in zip(profile.tau_grid, profile.values):
+    lines = ["tau,risk,var_n" if ns.with_var else "tau,risk"]
+    for t, r in zip(profile.tau_grid, profile.values):
+        line = f"{t},{_format_float(r)}"
+        if ns.with_var:
             approx = var_n(
                 sigma,
                 ns.n,
@@ -428,11 +379,8 @@ def cmd_risk(ns: argparse.Namespace) -> int:
                 method=ns.var_method or "exact",
                 truncation_band=ns.truncation_band,
             )
-            lines.append(f"{t},{_format_float(r)},{_format_float(approx.value)}")
-    else:
-        lines.append("tau,risk")
-        for t, r in zip(profile.tau_grid, profile.values):
-            lines.append(f"{t},{_format_float(r)}")
+            line += f",{_format_float(approx.value)}"
+        lines.append(line)
     lines.append(f"# oracle_tau = {profile.oracle_tau}")
     _emit("\n".join(lines) + "\n", ns.out)
     return 0
@@ -440,144 +388,152 @@ def cmd_risk(ns: argparse.Namespace) -> int:
 
 def cmd_clt(ns: argparse.Namespace) -> int:
     model = model_from_args(ns)
-    if ns.n is None or ns.tau is None:
-        raise ParameterError("clt requires --n and --tau")
+    if ns.tau is None:
+        raise ParameterError("clt requires --tau")
     _default(ns, "c", 2.0)
     config = ExperimentConfig(
         model=model,
         n=ns.n,
         scheme=scheme_from_name(ns.scheme),
         c_values=(ns.c,),
-        replications=ns.replications if ns.replications is not None else 2000,
-        base_seed=ns.seed or 0,
+        replications=2000,
         kind="clt",
         tau_fixed=ns.tau,
         var_method=ns.var_method,
         truncation_band=ns.truncation_band,
-        threads=ns.threads or 0,
     )
-    _emit(clt_experiment(config).to_json(), ns.out)
+    _emit(clt_experiment(_experiment_overrides(ns, config)).to_json(), ns.out)
     return 0
-
-
-def cmd_table1(ns: argparse.Namespace) -> int:
-    ns.preset = "table1"
-    if ns.variant is None and ns.variant_pos is not None:
-        ns.variant = ns.variant_pos
-    return cmd_simulate(ns)
-
-
-def cmd_table2(ns: argparse.Namespace) -> int:
-    ns.preset = "table2"
-    return cmd_simulate(ns)
 
 
 # --- parser ----------------------------------------------------------------
 
+# Flags, keyed by their option strings, with their ``add_argument`` keywords.
+# Every default is ``None``, so "the flag was given" is "the value is not None".
+_SWITCH = {"action": "store_true", "default": None}
+_SCHEME = {"--scheme": {"choices": list(_SCHEMES)}}
+_MODEL = {
+    "--model": {"choices": ["poly-decay", "ar-decay", "banded-uniform"]},
+    "--rho": {"type": float},
+    "--alpha": {"type": float},
+    "--k0": {"type": int},
+    "--offdiag": {"type": float},
+    "--unit-diagonal": _SWITCH,
+    "--p": {"type": int},
+}
+_REPS_SEED = {"--replications --reps": {"type": int}, "--seed": {"type": int}}
+_VAR = {
+    "--var-method": {"choices": ["exact", "banded-truncated"]},
+    "--truncation-band": {"type": int},
+}
+_COMMON = {
+    "--config": {"help": "key = value file; flags override it"},
+    "--out": {"help": "write the report here instead of stdout"},
+}
+_THREADS = {"--threads": {"type": int, "help": "worker threads (0 = SURECOV_THREADS, else 1)"}}
+_EXPERIMENT = {
+    "--tau-max": {"type": int},
+    **_REPS_SEED,
+    "--format": {"choices": ["json", "csv"]},
+    **_COMMON,
+    **_THREADS,
+}
+_VARIANT = {"choices": sorted(TABLE1_VARIANTS)}
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+# subcommand -> (help, set_defaults keywords, flags)
+COMMANDS: dict[str, tuple[str, dict, dict[str, dict]]] = {
+    "select": ("tune tau on a CSV of observations", {"func": cmd_select}, {
+        "--data": {"help": "CSV, rows = observations"},
+        **_SCHEME,
+        "--c": {"type": parse_c, "help": "penalty multiplier or 'logn'"},
+        "--tau-max": {"type": int},
+        "--profile-out": {"help": "write tau,sure_value CSV here"},
+        "--estimate-out": {"help": "write the tapered estimate here"},
+        "--format": {"choices": ["dense", "band"]},
+        **_COMMON,
+    }),
+    "simulate": ("Monte Carlo experiments", {"func": cmd_simulate}, {
+        "preset": {"nargs": "?", "choices": ["table1", "table2"]},
+        "--variant": _VARIANT,
+        "--fast": _SWITCH,
+        **_MODEL,
+        "--n": {"type": int},
+        "--c": {"type": parse_c_list, "action": "extend", "help": "comma list, e.g. 2,logn"},
+        **_SCHEME,
+        "--kind": {"choices": ["table", "consistency", "oracle-ratio"]},
+        **_EXPERIMENT,
+    }),
+    "risk": ("exact risk profile and oracle tau", {"func": cmd_risk}, {
+        **_MODEL,
+        "--n": {"type": int},
+        "--c": {"type": parse_c},
+        **_SCHEME,
+        "--tau-max": {"type": int},
+        "--with-var": _SWITCH,
+        **_VAR,
+        **_COMMON,
+    }),
+    "clt": ("standardized-SURE normality experiment", {"func": cmd_clt}, {
+        **_MODEL,
+        "--n": {"type": int},
+        "--tau": {"type": int},
+        "--c": {"type": parse_c},
+        **_SCHEME,
+        **_REPS_SEED,
+        **_VAR,
+        **_COMMON,
+        **_THREADS,
+    }),
+    "table1": ("decay-model loss benchmark", {"func": cmd_simulate, "preset": "table1"}, {
+        "variant_pos": {"nargs": "?", **_VARIANT},
+        "--variant": _VARIANT,
+        "--fast": _SWITCH,
+        "--p": {"type": int},
+        "--n": {"type": int},
+        **_EXPERIMENT,
+    }),
+    "table2": ("banded-model selection benchmark", {"func": cmd_simulate, "preset": "table2"}, {
+        "--p": {"type": int},
+        "--n": {"type": int},
+        "--fast": _SWITCH,
+        "--unit-diagonal": _SWITCH,
+        **_EXPERIMENT,
+    }),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surecov",
         description="SURE-tuned banding/tapering of large covariance matrices",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    table: dict[str, argparse.ArgumentParser] = {}
+    for name, (help_text, defaults, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for names, kwargs in flags.items():
+            sub.add_argument(*names.split(), **kwargs)
+        sub.set_defaults(**defaults)
+    return parser
 
-    sel = subs.add_parser("select", help="tune tau on a CSV of observations")
-    sel.add_argument("--data", help="CSV, rows = observations")
-    sel.add_argument("--scheme", choices=["banding", "czz"])
-    sel.add_argument("--c", type=parse_c, help="penalty multiplier or 'logn'")
-    sel.add_argument("--tau-max", type=int)
-    sel.add_argument("--profile-out", help="write tau,sure_value CSV here")
-    sel.add_argument("--estimate-out", help="write the tapered estimate here")
-    sel.add_argument("--format", choices=["dense", "band"])
-    _add_common(sel, threads=False)
-    sel.set_defaults(func=cmd_select)
-    table["select"] = sel
 
-    sim = subs.add_parser("simulate", help="Monte Carlo experiments")
-    sim.add_argument("preset", nargs="?", choices=["table1", "table2"])
-    sim.add_argument("--variant", choices=sorted(TABLE1_VARIANTS))
-    sim.add_argument("--fast", action="store_true", default=None)
-    _add_model_flags(sim)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--c", type=parse_c, action="append")
-    sim.add_argument("--scheme", choices=["banding", "czz"])
-    sim.add_argument("--tau-max", type=int)
-    sim.add_argument("--replications", "--reps", type=int, dest="replications")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--kind", choices=["table", "consistency", "oracle-ratio"])
-    sim.add_argument("--format", choices=["json", "csv"])
-    _add_common(sim)
-    sim.set_defaults(func=cmd_simulate)
-    table["simulate"] = sim
-
-    risk = subs.add_parser("risk", help="exact risk profile and oracle tau")
-    _add_model_flags(risk)
-    risk.add_argument("--n", type=int)
-    risk.add_argument("--c", type=parse_c)
-    risk.add_argument("--scheme", choices=["banding", "czz"])
-    risk.add_argument("--tau-max", type=int)
-    risk.add_argument("--with-var", action="store_true", default=None)
-    risk.add_argument("--var-method", choices=["exact", "banded-truncated"])
-    risk.add_argument("--truncation-band", type=int)
-    _add_common(risk, threads=False)
-    risk.set_defaults(func=cmd_risk)
-    table["risk"] = risk
-
-    clt = subs.add_parser("clt", help="standardized-SURE normality experiment")
-    _add_model_flags(clt)
-    clt.add_argument("--n", type=int)
-    clt.add_argument("--tau", type=int)
-    clt.add_argument("--c", type=parse_c)
-    clt.add_argument("--scheme", choices=["banding", "czz"])
-    clt.add_argument("--replications", "--reps", type=int, dest="replications")
-    clt.add_argument("--seed", type=int)
-    clt.add_argument("--var-method", choices=["exact", "banded-truncated"])
-    clt.add_argument("--truncation-band", type=int)
-    _add_common(clt)
-    clt.set_defaults(func=cmd_clt)
-    table["clt"] = clt
-
-    t1 = subs.add_parser("table1", help="decay-model loss benchmark")
-    t1.add_argument("variant_pos", nargs="?", choices=sorted(TABLE1_VARIANTS))
-    t1.add_argument("--variant", choices=sorted(TABLE1_VARIANTS))
-    t1.add_argument("--fast", action="store_true", default=None)
-    t1.add_argument("--p", type=int)
-    t1.add_argument("--n", type=int)
-    t1.add_argument("--tau-max", type=int)
-    t1.add_argument("--replications", "--reps", type=int, dest="replications")
-    t1.add_argument("--seed", type=int)
-    t1.add_argument("--format", choices=["json", "csv"])
-    _add_common(t1)
-    t1.set_defaults(func=cmd_table1)
-    table["table1"] = t1
-
-    t2 = subs.add_parser("table2", help="banded-model selection benchmark")
-    t2.add_argument("--p", type=int)
-    t2.add_argument("--n", type=int)
-    t2.add_argument("--fast", action="store_true", default=None)
-    t2.add_argument("--unit-diagonal", action="store_true", default=None)
-    t2.add_argument("--tau-max", type=int)
-    t2.add_argument("--replications", "--reps", type=int, dest="replications")
-    t2.add_argument("--seed", type=int)
-    t2.add_argument("--format", choices=["json", "csv"])
-    _add_common(t2)
-    t2.set_defaults(func=cmd_table2)
-    table["table2"] = t2
-
-    return parser, table
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Flags, then ``--config`` values for those not given; argparse errors are SystemExit."""
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is not None:
+        flags = COMMANDS[ns.subcommand][2]
+        from_file = parser.parse_args([ns.subcommand, *config_argv(ns.config, flags)])
+        for dest, value in vars(from_file).items():
+            _default(ns, dest, value)
+    return ns
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, table = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the message
-        return int(exc.code or 0)
-    try:
-        apply_config_file(ns, table[ns.subcommand])
+        ns = parse_args(argv)
         return ns.func(ns)
+    except SystemExit as exc:  # argparse already printed the message (or the help)
+        return int(exc.code or 0)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

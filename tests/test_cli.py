@@ -2,14 +2,26 @@
 
 import json
 import math
+import re
+import shlex
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from surecov.cli import load_config_file, main, read_matrix_csv
+from surecov.cli import (
+    COMMANDS,
+    build_parser,
+    load_config_file,
+    main,
+    parse_args,
+    read_matrix_csv,
+    write_estimate,
+)
 from surecov.criterion import default_tau_grid, sure_constants, sure_profile
 from surecov.errors import DataError, ParameterError
-from surecov.estimate import Banding, mle_cov
+from surecov.estimate import Banding, CzzTaper, mle_cov, taper
 from surecov.model import ArDecay, BandedUniform, Dataset, build_sigma, sample_dataset
 
 
@@ -126,6 +138,35 @@ def test_select_writes_profile_and_estimate(data_csv, tmp_path, capsys):
     expected_count = sum(min(tau_hat, 12 - i) for i in range(12))
     assert len(triplets) == expected_count
 
+    # every triplet is the tapered estimate's entry; these data select tau 5
+    # (banding) and 6 (czz), so czz's fractional weights are written too
+    wide = tmp_path / "ar.csv"
+    rows = sample_dataset(build_sigma(ArDecay(rho=0.6, p=12)), 100, seed=5).rows
+    _write_csv(wide, rows)
+    s_tilde = mle_cov(Dataset(rows=rows))
+    for scheme in (Banding(), CzzTaper()):
+        assert main(["select", "--data", str(wide), "--scheme", scheme.name,
+                     "--estimate-out", str(est), "--format", "band"]) == 0
+        tau_hat = json.loads(capsys.readouterr().out)["results"]["selected_tau"]
+        assert tau_hat >= 5
+        expected = taper(s_tilde, scheme, tau_hat).matrix
+        triplets = [line.split(",") for line in est.read_text().splitlines()]
+        assert len(triplets) == sum(min(tau_hat, 12 - i) for i in range(12))
+        for i, j, value in triplets:
+            assert value == repr(float(expected[int(i) - 1, int(j) - 1]))
+
+
+def test_band_estimate_makes_no_p_by_p_array(tmp_path):
+    p = 2000
+    s_tilde = np.random.default_rng(3).normal(size=(p, p))
+    tracemalloc.start()
+    try:
+        write_estimate(str(tmp_path / "band.csv"), s_tilde, CzzTaper(), 8, "band")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * p * 8 / 8  # an eighth of one p x p float64 array
+
 
 def test_select_dense_estimate(data_csv, tmp_path, capsys):
     path, _ = data_csv
@@ -187,6 +228,11 @@ def test_config_file_merging(tmp_path, capsys):
     assert report["config"]["base_seed"] == 11
     assert sorted(report["results"]["per_c"]) == ["2", "logn"]
 
+    # every option string of a flag is a key: --reps is --replications
+    cfg.write_text(cfg.read_text().replace("replications = 3", "reps = 3"))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == report["results"]
+
     # explicit flag beats the file
     assert main(["simulate", "--config", str(cfg), "--replications", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -198,6 +244,92 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("model = ar-decay\nwibble = 3\n")
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "wibble" in capsys.readouterr().err
+
+
+def test_config_values_are_checked_like_flags(data_csv, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("format = xml\n")
+    assert main(["select", "--data", str(data_csv[0]), "--estimate-out",
+                 str(tmp_path / "est.csv"), "--config", str(cfg)]) == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    cfg.write_text("kind = bogus\n")
+    assert main(["simulate", "--model", "ar-decay", "--rho", "0.5", "--p", "8", "--n", "20",
+                 "--reps", "2", "--config", str(cfg)]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_config_switches_are_booleans(tmp_path, capsys):
+    cfg = tmp_path / "switch.cfg"
+    for sub, line, dest, want in [
+        ("table1", "fast = false", "fast", False),
+        ("table2", "unit-diagonal = yes", "unit_diagonal", True),
+        ("risk", "with-var = true", "with_var", True),
+    ]:
+        cfg.write_text(line + "\n")
+        assert bool(getattr(parse_args([sub, "--config", str(cfg)]), dest)) is want
+    cfg.write_text("fast = maybe\n")
+    assert main(["table1", "--config", str(cfg)]) == 2
+    assert "'maybe'" in capsys.readouterr().err
+
+
+def test_simulate_c_list_forms_agree(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("c = 2,logn\n")
+    argv = ["simulate", "--model", "ar-decay", "--rho", "0.5", "--p", "10", "--n", "30",
+            "--reps", "3", "--seed", "4"]
+    payloads = []
+    for extra in (["--c", "2,logn"], ["--c", "2", "--c", "logn"], ["--config", str(cfg)]):
+        assert main(argv + extra) == 0
+        report = json.loads(capsys.readouterr().out)
+        payloads.append({"config": report["config"], "results": report["results"]})
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert sorted(payloads[0]["results"]["per_c"]) == ["2", "logn"]
+
+
+def test_every_long_option_is_a_config_key(tmp_path, capsys):
+    """A config line ``key = value`` parses like the flag ``--key=value``."""
+    cfg = tmp_path / "one.cfg"
+    parser = build_parser()
+    for sub, (_, _, flags) in COMMANDS.items():
+        with pytest.raises(SystemExit):
+            parser.parse_args([sub, "--help"])
+        options = re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)
+        kwargs = {opt: kw for names, kw in flags.items() for opt in names.split()}
+        for opt in sorted(set(options) - {"--help", "--config"}):
+            kw = kwargs[opt]
+            if kw.get("action") == "store_true":
+                line, flag = "true", [opt]
+            else:
+                value = kw["choices"][-1] if "choices" in kw else "3"
+                line, flag = value, [f"{opt}={value}"]
+            cfg.write_text(f"{opt[2:]} = {line}\n")
+            from_file = vars(parse_args([sub, "--config", str(cfg)]))
+            from_flag = vars(parse_args([sub, *flag]))
+            assert from_file.pop("config") == str(cfg) and from_flag.pop("config") is None
+            assert from_file == from_flag, (sub, opt)
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = re.sub(r"\s+#.*$", "", line.strip().removeprefix("$ "))
+            if line.startswith("surecov "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: surecov {shlex.join(argv)}")
 
 
 def test_load_config_file_errors(tmp_path):
@@ -257,12 +389,18 @@ def test_clt_command(capsys):
     assert report["results"]["ks_distance"] < 0.3
 
 
-def test_table_presets_via_cli(capsys):
+def test_table_presets_via_cli(tmp_path, capsys):
     code = main(["table1", "model2-r05", "--fast", "--reps", "3"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["model"]["variant"] == "ar-decay"
     assert report["config"]["replications"] == 3
+
+    # the positional variant is a command-line value, so it beats the file's
+    cfg = tmp_path / "t1.cfg"
+    cfg.write_text("variant = model1-a01\n")
+    assert main(["table1", "model2-r05", "--fast", "--reps", "3", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == report["results"]
 
     code = main(["table2", "--fast", "--reps", "3", "--p", "40"])
     assert code == 0
