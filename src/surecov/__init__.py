@@ -19,6 +19,7 @@ from .criterion import (
     sure_constants,
     sure_eq2_reference,
     sure_profile,
+    sure_profile_from_band,
 )
 from .errors import DataError, NumericalError, ParameterError, SurecovError
 from .estimate import (
@@ -27,6 +28,7 @@ from .estimate import (
     CzzTaper,
     TaperedEstimate,
     WeightScheme,
+    band_gram,
     frob_sq_dist,
     mle_cov,
     taper,
@@ -97,6 +99,7 @@ __all__ = [
     "TaperedEstimate",
     "VarApprox",
     "WeightScheme",
+    "band_gram",
     "band_sums",
     "build_sigma",
     "cholesky_factor",
@@ -122,6 +125,7 @@ __all__ = [
     "sure_constants",
     "sure_eq2_reference",
     "sure_profile",
+    "sure_profile_from_band",
     "table1_config",
     "taper",
     "table2_config",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -29,9 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .criterion import default_tau_grid, sure_constants, sure_profile
+# sure_profile is unused here but stays a module attribute: bench/workloads.py
+# traces surecov.cli.sure_profile by name
+from .criterion import default_tau_grid, sure_constants, sure_profile, sure_profile_from_band  # noqa: F401
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import Banding, CzzTaper, WeightScheme, mle_cov, taper
+from .estimate import Banding, CzzTaper, WeightScheme, band_gram, mle_cov, taper
 from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay, build_sigma
 from .sim import (
     ExperimentConfig,
@@ -85,7 +88,11 @@ def load_config_file(path: str) -> dict[str, str]:
     if not p.is_file():
         raise ParameterError(f"config file not found: {path}")
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParameterError(f"config file is not UTF-8 text: {path}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -107,8 +114,12 @@ def config_argv(path: str, flags: dict[str, dict]) -> list[str]:
             raise ParameterError(f"unknown config key {key!r} in {path}")
         if options[key].get("action") != "store_true":
             argv.append(f"--{key}={value}")
-        elif parse_bool(value):
-            argv.append(f"--{key}")
+        else:
+            try:
+                if parse_bool(value):
+                    argv.append(f"--{key}")
+            except ParameterError as exc:
+                raise ParameterError(f"{path}: {key}: {exc}") from None
     return argv
 
 
@@ -125,16 +136,87 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
     A single leading header row is auto-detected (any non-numeric cell in the
     first row).  Every later row must be numeric, finite and of equal width;
-    violations are reported with their 1-based line and column.
+    violations are reported with their 1-based line and column.  A plain file
+    takes a fast path; any other goes through the checked parser, which words
+    every error.
     """
     p = Path(path)
     if not p.is_file():
         raise DataError(f"data file not found: {path}")
+    try:
+        raw = p.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    data = _parse_plain_csv(raw)
+    return data if data is not None else _parse_checked_csv(path, raw)
+
+
+def _is_blank(cells: list[str]) -> bool:
+    return all(not cell.strip() for cell in cells)
+
+
+def _parse_plain_csv(raw: bytes) -> np.ndarray | None:
+    """The checked parser's array for a plain file, or None to defer to it.
+
+    Plain means no quote, ``\n`` or ``\r\n`` line ends, one width, at least 4
+    rows and finite cells.  Each row's byte cells are cast straight into a
+    preallocated array; that cast accepts an ASCII cell exactly when
+    ``float(cell)`` does, with the same value, and rejects every other cell.
+    """
+    if b'"' in raw:
+        return None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+        if b"\r" in raw:
+            return None
+    lines = raw.split(b"\n")
+    out, k = None, 0
+    for line in lines:
+        cells = line.split(b",")
+        if out is None:  # the first non-blank line may be a header
+            try:
+                text = line.decode("utf-8").split(",")
+            except UnicodeDecodeError:
+                return None
+            if _is_blank(text):
+                continue
+            out = np.empty((len(lines), len(cells)))
+            try:
+                [float(cell) for cell in text]
+            except ValueError:
+                continue
+        if len(cells) == out.shape[1]:
+            try:
+                out[k] = cells
+                k += 1
+                continue
+            except ValueError:
+                pass
+        try:
+            if _is_blank(line.decode("utf-8").split(",")):
+                continue
+        except UnicodeDecodeError:
+            pass
+        return None
+    if k < 4 or not np.isfinite(out[:k]).all():
+        return None
+    return out[:k]
+
+
+def _parse_checked_csv(path: str, raw: bytes) -> np.ndarray:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{path}:{line}: not UTF-8 text (byte {raw[exc.start]:#04x})"
+        ) from None
     rows: list[list[float]] = []
     width: int | None = None
-    with p.open(newline="", encoding="utf-8") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(not cell.strip() for cell in record):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for lineno, record in enumerate(reader, start=1):
+            if _is_blank(record):
                 continue
             if width is None:
                 width = len(record)
@@ -157,6 +239,8 @@ def read_matrix_csv(path: str) -> np.ndarray:
                 if not math.isfinite(parsed[-1]):
                     raise DataError(f"{path}:{lineno}:{col}: non-finite value {cell!r}")
             rows.append(parsed)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if width is None:
         raise DataError(f"{path}: no data rows")
     if len(rows) < 4:
@@ -176,19 +260,20 @@ def write_profile_csv(path: str, grid: tuple[int, ...], values) -> None:
 
 
 def write_estimate(
-    path: str, s_tilde: np.ndarray, scheme: WeightScheme, tau: int, fmt: str
+    path: str, estimate: np.ndarray, scheme: WeightScheme, tau: int, fmt: str
 ) -> None:
-    """``taper(s_tilde, scheme, tau)`` as dense CSV, or for ``fmt == "band"`` as
-    ``i,j,value`` triplets (1-based, upper triangle) read off ``s_tilde``'s band."""
+    """For ``fmt == "band"``, ``i,j,value`` triplets (1-based, upper triangle) of
+    the tapered band, with ``estimate`` the band of :func:`band_gram`; otherwise
+    ``taper(estimate, scheme, tau)`` of the p x p MLE ``estimate`` as dense CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "band":
-            p = s_tilde.shape[0]
-            w = scheme.weights(tau, tau)
+            p = estimate.shape[0]
+            values = estimate[:, :tau] * scheme.weights(tau, tau)
             for i in range(p):
-                for d, v in enumerate(w[: p - i] * s_tilde[i, i : i + tau]):
+                for d, v in enumerate(values[i, : p - i]):
                     fh.write(f"{i + 1},{i + d + 1},{_format_float(v)}\n")
         else:
-            for row in taper(s_tilde, scheme, tau).matrix:
+            for row in taper(estimate, scheme, tau).matrix:
                 fh.write(",".join(_format_float(v) for v in row) + "\n")
 
 
@@ -245,19 +330,20 @@ def cmd_select(ns: argparse.Namespace) -> int:
         raise ParameterError("select requires --data")
     _default(ns, "c", 2.0)
     scheme = scheme_from_name(ns.scheme)
-    data = read_matrix_csv(ns.data)
-    n, p = data.shape
+    data = Dataset(rows=read_matrix_csv(ns.data))
+    n, p = data.rows.shape
     c = math.log(n) if ns.c == "logn" else float(ns.c)
     grid = default_tau_grid(p, n, ns.tau_max)
     with np.errstate(over="ignore", invalid="ignore"):
-        s_tilde = mle_cov(Dataset(rows=data))
-        profile = sure_profile(s_tilde, sure_constants(n, c), scheme, grid)
+        band, frob_sq = band_gram(data, grid[-1])
+        profile = sure_profile_from_band(band, frob_sq, sure_constants(n, c), scheme, grid)
     tau_hat = profile.selected_tau
 
     if ns.profile_out:
         write_profile_csv(ns.profile_out, profile.tau_grid, profile.values)
     if ns.estimate_out:
-        write_estimate(ns.estimate_out, s_tilde, scheme, tau_hat, ns.format)
+        estimate = band if ns.format == "band" else mle_cov(data)
+        write_estimate(ns.estimate_out, estimate, scheme, tau_hat, ns.format)
     report = {
         "config": {
             "subcommand": "select",
@@ -502,8 +588,15 @@ COMMANDS: dict[str, tuple[str, dict, dict[str, dict]]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _ConfigParser(argparse.ArgumentParser):
+    """Parses a config file's values: an error is raised, not printed with usage."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
+def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="surecov",
         description="SURE-tuned banding/tapering of large covariance matrices",
     )
@@ -521,20 +614,37 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.config is not None:
-        flags = COMMANDS[ns.subcommand][2]
-        from_file = parser.parse_args([ns.subcommand, *config_argv(ns.config, flags)])
+        file_argv = [ns.subcommand, *config_argv(ns.config, COMMANDS[ns.subcommand][2])]
+        try:
+            from_file = build_parser(_ConfigParser).parse_args(file_argv)
+        except ParameterError as exc:
+            raise ParameterError(f"{ns.config}: {exc}") from None
         for dest, value in vars(from_file).items():
             _default(ns, dest, value)
     return ns
 
 
+def _check_outputs(ns: argparse.Namespace) -> None:
+    """Every output path can be created: its directory exists and it is no directory."""
+    for dest in ("out", "profile_out", "estimate_out"):
+        path = getattr(ns, dest, None)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if not Path(path).parent.is_dir():
+            raise ParameterError(f"{flag} {path}: directory {Path(path).parent} does not exist")
+        if Path(path).is_dir():
+            raise ParameterError(f"{flag} {path} is a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = parse_args(argv)
+        _check_outputs(ns)
         return ns.func(ns)
     except SystemExit as exc:  # argparse already printed the message (or the help)
         return int(exc.code or 0)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:  # OSError: an output file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -34,6 +34,12 @@ tail bin that collects every d >= tau_max, where all weights are 0: the
 matrix total minus the other bins.  That is O(p * tau_max) per matrix plus
 one pass for its total, then O(tau_max) per grid point: one row of a weight
 table times the sums.
+
+The MLE need not be formed at all.  :func:`sure_profile_from_band` reads the
+sums off the band that :func:`~surecov.estimate.band_gram` computes from the
+data rows, with the total from the n x n gram: O(n p + p tau_max) memory.
+``surecov select`` takes that path; only its ``--format dense`` estimate
+forms the p x p MLE.
 """
 
 from __future__ import annotations
@@ -42,11 +48,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import WeightScheme, frob_sq_dist, taper, unbiased_cov
+from .estimate import WeightScheme, _skew, frob_sq_dist, taper, unbiased_cov
 from .model import Matrix
 
 __all__ = [
@@ -55,6 +60,7 @@ __all__ = [
     "sure_constants",
     "band_sums",
     "sure_profile",
+    "sure_profile_from_band",
     "sure_eq2_reference",
     "default_tau_grid",
 ]
@@ -84,12 +90,6 @@ def sure_constants(n: int, c: float = 2.0) -> SureConstants:
     a_n = n * (n - 3) / ((n - 1) * (n - 2) * (n + 1))
     b_n = n / ((n + 1) * (n - 2))
     return SureConstants(n=n, c=float(c), a_n=a_n, b_n=b_n)
-
-
-def _skew(a: Matrix, rows: int, cols: int) -> Matrix:
-    """Read-only view ``v[i, d] = a[i, i + d]``; the caller keeps it in bounds."""
-    s0, s1 = a.strides
-    return as_strided(a, shape=(rows, cols), strides=(s0 + s1, s1), writeable=False)
 
 
 @lru_cache(maxsize=16)
@@ -137,14 +137,18 @@ def _fold(out: NDArray[np.float64], p: int, total: float) -> NDArray[np.float64]
     return out
 
 
-def _band_sums(m: Matrix, dmax: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """``S1`` and ``S2`` of ``m`` for ``d < dmax``, each with its tail bin."""
-    dvec = np.diagonal(m)
+def _s2_sums(dvec: NDArray[np.float64], dmax: int) -> NDArray[np.float64]:
+    """``S2`` of a matrix with diagonal ``dvec`` for ``d < dmax``, with its tail bin."""
     s2 = np.zeros(dmax + 1)
     # S2 is the autocorrelation of the diagonal over lags d < dmax
     s2[:dmax] = np.correlate(np.append(dvec, np.zeros(dmax - 1)), dvec, "valid")
+    return _fold(s2, len(dvec), dvec.sum() ** 2)
+
+
+def _band_sums(m: Matrix, dmax: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``S1`` and ``S2`` of ``m`` for ``d < dmax``, each with its tail bin."""
     s1 = _per_distance_sums(m, m, dmax, np.einsum("ij,ij->", m, m))
-    return s1, _fold(s2, len(m), dvec.sum() ** 2)
+    return s1, _s2_sums(np.diagonal(m), dmax)
 
 
 def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -222,10 +226,44 @@ def sure_profile(
 
     Ties are broken toward the smallest tau (the most parsimonious estimate).
     """
+    grid = _check_profile_args(consts, tau_grid)
+    s1, s2 = _band_sums(np.asarray(sigma_tilde, dtype=np.float64), max(grid))
+    return _select(s1, s2, consts, scheme, grid)
+
+
+def sure_profile_from_band(
+    band: Matrix,
+    frob_sq: float,
+    consts: SureConstants,
+    scheme: WeightScheme,
+    tau_grid,
+) -> CriterionProfile:
+    """:func:`sure_profile` of the MLE ``s`` given only its band and total.
+
+    ``band[i, d] = s[i, i + d]`` for ``d`` below at least ``max(tau_grid)``, 0
+    past the end, and ``frob_sq = ||s||_F^2``: what
+    :func:`~surecov.estimate.band_gram` returns.  ``S1`` for ``d < max(tau_grid)``
+    is the column sums of ``band**2``, and its tail bin the total minus them.
+    """
+    grid = _check_profile_args(consts, tau_grid)
+    dmax = max(grid)
+    if band.shape[1] < dmax:
+        raise ParameterError(f"the band holds {band.shape[1]} distances, the grid needs {dmax}")
+    head = band[:, :dmax]
+    s1 = np.zeros(dmax + 1)
+    s1[:dmax] = np.einsum("id,id->d", head, head)
+    s1 = _fold(s1, len(band), frob_sq)
+    return _select(s1, _s2_sums(band[:, 0], dmax), consts, scheme, grid)
+
+
+def _check_profile_args(consts: SureConstants, tau_grid) -> tuple[int, ...]:
     if consts.n < 4:
         raise DataError(f"the criterion requires n >= 4, got n={consts.n}")
-    grid = _check_grid(tau_grid)
-    s1, s2 = _band_sums(np.asarray(sigma_tilde, dtype=np.float64), max(grid))
+    return _check_grid(tau_grid)
+
+
+def _select(s1, s2, consts: SureConstants, scheme: WeightScheme, grid) -> CriterionProfile:
+    """The profile from band sums, with the smallest minimizing tau."""
     values = profile_values(s1, s2, consts, scheme, grid)
     if not np.all(np.isfinite(values)):
         raise NumericalError("criterion profile is not finite: the covariance overflows")

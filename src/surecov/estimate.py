@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .errors import DataError, ParameterError
@@ -29,6 +30,7 @@ __all__ = [
     "TaperedEstimate",
     "taper",
     "mle_cov",
+    "band_gram",
     "unbiased_cov",
     "frob_sq_dist",
 ]
@@ -144,12 +146,48 @@ class TaperedEstimate:
     matrix: Matrix = field(repr=False)
 
 
-def mle_cov(data: Dataset) -> Matrix:
-    """Maximum likelihood covariance ``(1/n) sum (X_k - Xbar)(X_k - Xbar)^T``."""
+def _centered(data: Dataset) -> Matrix:
     if data.n < 3:
         raise DataError(f"need n >= 3 observations, got n={data.n}")
-    centered = data.rows - data.rows.mean(axis=0)
+    return data.rows - data.rows.mean(axis=0)
+
+
+def mle_cov(data: Dataset) -> Matrix:
+    """Maximum likelihood covariance ``(1/n) sum (X_k - Xbar)(X_k - Xbar)^T``."""
+    centered = _centered(data)
     return centered.T @ centered / data.n  # numpy runs X'X as syrk: exactly symmetric
+
+
+# columns per BLAS product in band_gram
+_BLOCK = 256
+
+
+def _skew(a: Matrix, rows: int, cols: int) -> Matrix:
+    """Read-only view ``v[i, d] = a[i, i + d]``; the caller keeps it in bounds."""
+    s0, s1 = a.strides
+    return as_strided(a, shape=(rows, cols), strides=(s0 + s1, s1), writeable=False)
+
+
+def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
+    """The band of ``s = mle_cov(data)`` and ``||s||_F^2``, without forming ``s``.
+
+    ``band[i, d] = s[i, i + d]`` for ``d < dmax``, and 0 where ``i + d >= p``.
+    Each block of ``_BLOCK`` centred columns takes one product with the block
+    and the ``dmax - 1`` columns after it.  The total comes from the n x n
+    gram: ``||s||_F^2 = ||X_c X_c^T||_F^2 / n^2``.  That is O(n p (_BLOCK +
+    dmax + n)) flops and O(n p + p dmax) memory.
+    """
+    centered = _centered(data)
+    n, p = centered.shape
+    band = np.empty((p, dmax))
+    for b0 in range(0, p, _BLOCK):
+        b1 = min(b0 + _BLOCK, p)
+        block = centered[:, b0:b1].T @ centered[:, b0 : b1 + dmax - 1] / n
+        # past column p, zero columns keep the skewed view in bounds
+        block = np.pad(block, ((0, 0), (0, b1 + dmax - 1 - b0 - block.shape[1])))
+        band[b0:b1] = _skew(block, b1 - b0, dmax)
+    gram = centered @ centered.T
+    return band, float(np.einsum("ij,ij->", gram, gram)) / n**2
 
 
 def unbiased_cov(sigma_tilde: Matrix, n: int) -> Matrix:

@@ -24,9 +24,10 @@ from surecov.criterion import (
     sure_constants,
     sure_eq2_reference,
     sure_profile,
+    sure_profile_from_band,
 )
 from surecov.errors import DataError, ParameterError
-from surecov.estimate import Banding, CzzTaper, mle_cov
+from surecov.estimate import Banding, CzzTaper, band_gram, mle_cov
 from surecov.model import ArDecay, Dataset, build_sigma, sample_dataset
 
 
@@ -133,6 +134,49 @@ def test_dual_formula_identity(seed, n, p, tau, c_extra, czz):
     for t, value in zip(grid, fast):
         ref = sure_eq2_reference(sigma_tilde, consts, scheme, t)
         assert value == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(4, 60),
+    p=st.integers(1, 300),
+    tau_extra=st.integers(0, 302),
+    c_extra=st.floats(0.0, 3.0),
+    czz=st.booleans(),
+)
+def test_row_path_matches_dense_profile(seed, n, p, tau_extra, c_extra, czz):
+    """The profile from the rows' band gram is the profile of the formed MLE:
+    values to 1e-12 ||S||_F^2, the same tau-hat unless the two lowest values
+    tie to that bound, and band entries to 1e-14 max|s|."""
+    tau_max = 1 + tau_extra % (p + 2)
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p) + 5.0 * rng.normal(size=p)
+    data = Dataset(rows=rows)
+    consts = sure_constants(n, 2.0 + c_extra)
+    scheme = CzzTaper() if czz else Banding()
+    grid = tuple(range(1, tau_max + 1))
+
+    s = mle_cov(data)
+    band, frob_sq = band_gram(data, tau_max)
+    assert band.shape == (p, tau_max)
+    for d in range(tau_max):
+        expected = np.append(np.diagonal(s, d), np.zeros(min(d, p)))
+        assert np.abs(band[:, d] - expected).max() <= 1e-14 * np.abs(s).max()
+
+    dense = sure_profile(s, consts, scheme, grid)
+    rows_path = sure_profile_from_band(band, frob_sq, consts, scheme, grid)
+    bound = 1e-12 * np.einsum("ij,ij->", s, s)
+    assert np.abs(rows_path.values - dense.values).max() <= bound
+    lowest = np.sort(dense.values)[:2]
+    if len(lowest) < 2 or lowest[1] - lowest[0] > bound:
+        assert rows_path.selected_tau == dense.selected_tau
+
+
+def test_profile_from_band_checks_its_width():
+    band, frob_sq = band_gram(Dataset(rows=np.arange(24.0).reshape(6, 4) ** 2), 2)
+    with pytest.raises(ParameterError, match="holds 2 distances"):
+        sure_profile_from_band(band, frob_sq, sure_constants(6), Banding(), (1, 2, 3))
 
 
 @settings(max_examples=40, deadline=None)
