@@ -20,19 +20,18 @@ given on the command line win.  Exit codes: 0 success, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-# sure_profile is unused here but stays a module attribute: bench/workloads.py
-# traces surecov.cli.sure_profile by name
-from .criterion import default_tau_grid, sure_constants, sure_profile, sure_profile_from_band  # noqa: F401
+from .criterion import default_tau_grid, sure_constants, sure_profile, sure_profile_from_band
 from .errors import DataError, NumericalError, ParameterError
 from .estimate import Banding, CzzTaper, WeightScheme, band_gram, mle_cov, taper
 from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay, build_sigma
@@ -136,109 +135,45 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
     A single leading header row is auto-detected (any non-numeric cell in the
     first row).  Every later row must be numeric, finite and of equal width;
-    violations are reported with their 1-based line and column.  A plain file
-    takes a fast path; any other goes through the checked parser, which words
-    every error.
+    violations are reported with their 1-based line and column.  The file is
+    read one record at a time, and each row is kept as a float64 array.
     """
     p = Path(path)
     if not p.is_file():
         raise DataError(f"data file not found: {path}")
+    rows: list[np.ndarray] = []
+    width: int | None = None
     try:
-        raw = p.read_bytes()
+        with p.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for lineno, record in enumerate(reader, start=1):
+                if all(not cell.strip() for cell in record):
+                    continue
+                if width is None:
+                    width = len(record)
+                    try:
+                        [float(cell) for cell in record]
+                    except ValueError:
+                        continue  # header row
+                if len(record) != width:
+                    raise DataError(
+                        f"{path}:{lineno}: expected {width} fields, got {len(record)}"
+                    )
+                parsed = []
+                for col, cell in enumerate(record, start=1):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: non-numeric value {cell!r} in column {col}"
+                        ) from None
+                    if not math.isfinite(parsed[-1]):
+                        raise DataError(f"{path}:{lineno}:{col}: non-finite value {cell!r}")
+                rows.append(np.array(parsed))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    data = _parse_plain_csv(raw)
-    return data if data is not None else _parse_checked_csv(path, raw)
-
-
-def _is_blank(cells: list[str]) -> bool:
-    return all(not cell.strip() for cell in cells)
-
-
-def _parse_plain_csv(raw: bytes) -> np.ndarray | None:
-    """The checked parser's array for a plain file, or None to defer to it.
-
-    Plain means no quote, ``\n`` or ``\r\n`` line ends, one width, at least 4
-    rows and finite cells.  Each row's byte cells are cast straight into a
-    preallocated array; that cast accepts an ASCII cell exactly when
-    ``float(cell)`` does, with the same value, and rejects every other cell.
-    """
-    if b'"' in raw:
-        return None
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n")
-        if b"\r" in raw:
-            return None
-    lines = raw.split(b"\n")
-    out, k = None, 0
-    for line in lines:
-        cells = line.split(b",")
-        if out is None:  # the first non-blank line may be a header
-            try:
-                text = line.decode("utf-8").split(",")
-            except UnicodeDecodeError:
-                return None
-            if _is_blank(text):
-                continue
-            out = np.empty((len(lines), len(cells)))
-            try:
-                [float(cell) for cell in text]
-            except ValueError:
-                continue
-        if len(cells) == out.shape[1]:
-            try:
-                out[k] = cells
-                k += 1
-                continue
-            except ValueError:
-                pass
-        try:
-            if _is_blank(line.decode("utf-8").split(",")):
-                continue
-        except UnicodeDecodeError:
-            pass
-        return None
-    if k < 4 or not np.isfinite(out[:k]).all():
-        return None
-    return out[:k]
-
-
-def _parse_checked_csv(path: str, raw: bytes) -> np.ndarray:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(
-            f"{path}:{line}: not UTF-8 text (byte {raw[exc.start]:#04x})"
-        ) from None
-    rows: list[list[float]] = []
-    width: int | None = None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        for lineno, record in enumerate(reader, start=1):
-            if _is_blank(record):
-                continue
-            if width is None:
-                width = len(record)
-                try:
-                    [float(cell) for cell in record]
-                except ValueError:
-                    continue  # header row
-            if len(record) != width:
-                raise DataError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(record)}"
-                )
-            parsed = []
-            for col, cell in enumerate(record, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric value {cell!r} in column {col}"
-                    ) from None
-                if not math.isfinite(parsed[-1]):
-                    raise DataError(f"{path}:{lineno}:{col}: non-finite value {cell!r}")
-            rows.append(parsed)
+    except UnicodeDecodeError:
+        raise _not_utf8(path, p.read_bytes()) from None
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if width is None:
@@ -248,12 +183,32 @@ def _parse_checked_csv(path: str, raw: bytes) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+def _not_utf8(path: str, raw: bytes) -> DataError:
+    """The error for a data file that is not UTF-8, naming its first bad byte."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path}:{line}: not UTF-8 text (byte {raw[exc.start]:#04x})")
+    return DataError(f"{path}: not UTF-8 text")
+
+
 def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` open for writing; a failure to write it is a usage error naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_profile_csv(path: str, grid: tuple[int, ...], values) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         fh.write("tau,sure_value\n")
         for t, v in zip(grid, values):
             fh.write(f"{t},{_format_float(v)}\n")
@@ -265,7 +220,7 @@ def write_estimate(
     """For ``fmt == "band"``, ``i,j,value`` triplets (1-based, upper triangle) of
     the tapered band, with ``estimate`` the band of :func:`band_gram`; otherwise
     ``taper(estimate, scheme, tau)`` of the p x p MLE ``estimate`` as dense CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         if fmt == "band":
             p = estimate.shape[0]
             values = estimate[:, :tau] * scheme.weights(tau, tau)
@@ -278,10 +233,12 @@ def write_estimate(
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        with _output(out) as fh:
+            fh.write(text)
 
 
 # --- model construction from flags ----------------------------------------
@@ -334,15 +291,19 @@ def cmd_select(ns: argparse.Namespace) -> int:
     n, p = data.rows.shape
     c = math.log(n) if ns.c == "logn" else float(ns.c)
     grid = default_tau_grid(p, n, ns.tau_max)
+    consts = sure_constants(n, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        band, frob_sq = band_gram(data, grid[-1])
-        profile = sure_profile_from_band(band, frob_sq, sure_constants(n, c), scheme, grid)
+        if ns.estimate_out and ns.format != "band":  # only a dense estimate forms S
+            estimate = mle_cov(data)
+            profile = sure_profile(estimate, consts, scheme, grid)
+        else:
+            estimate, frob_sq = band_gram(data, grid[-1])
+            profile = sure_profile_from_band(estimate, frob_sq, consts, scheme, grid)
     tau_hat = profile.selected_tau
 
     if ns.profile_out:
         write_profile_csv(ns.profile_out, profile.tau_grid, profile.values)
     if ns.estimate_out:
-        estimate = band if ns.format == "band" else mle_cov(data)
         write_estimate(ns.estimate_out, estimate, scheme, tau_hat, ns.format)
     report = {
         "config": {
@@ -631,9 +592,10 @@ def _check_outputs(ns: argparse.Namespace) -> None:
         if path is None:
             continue
         flag = "--" + dest.replace("_", "-")
-        if not Path(path).parent.is_dir():
+        # os.path.isdir, unlike Path.is_dir, is False for a path it cannot stat
+        if not os.path.isdir(Path(path).parent):
             raise ParameterError(f"{flag} {path}: directory {Path(path).parent} does not exist")
-        if Path(path).is_dir():
+        if os.path.isdir(path):
             raise ParameterError(f"{flag} {path} is a directory")
 
 
@@ -644,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         return ns.func(ns)
     except SystemExit as exc:  # argparse already printed the message (or the help)
         return int(exc.code or 0)
-    except (ParameterError, OSError) as exc:  # OSError: an output file cannot be written
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

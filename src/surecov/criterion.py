@@ -37,7 +37,7 @@ table times the sums.
 
 The MLE need not be formed at all.  :func:`sure_profile_from_band` reads the
 sums off the band that :func:`~surecov.estimate.band_gram` computes from the
-data rows, with the total from the n x n gram: O(n p + p tau_max) memory.
+data rows, with the total from the smaller gram: O(n p + p tau_max) memory.
 ``surecov select`` takes that path; only its ``--format dense`` estimate
 forms the p x p MLE.
 """

@@ -173,9 +173,10 @@ def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
 
     ``band[i, d] = s[i, i + d]`` for ``d < dmax``, and 0 where ``i + d >= p``.
     Each block of ``_BLOCK`` centred columns takes one product with the block
-    and the ``dmax - 1`` columns after it.  The total comes from the n x n
-    gram: ``||s||_F^2 = ||X_c X_c^T||_F^2 / n^2``.  That is O(n p (_BLOCK +
-    dmax + n)) flops and O(n p + p dmax) memory.
+    and the ``dmax - 1`` columns after it.  When ``dmax >= p`` the band holds
+    all of ``s`` and gives the total; otherwise it comes from the smaller gram,
+    ``||s||_F^2 = ||X_c X_c^T||_F^2 / n^2 = ||X_c^T X_c||_F^2 / n^2``.  That is
+    O(n p (_BLOCK + dmax + min(n, p))) flops and O(n p + p dmax) memory.
     """
     centered = _centered(data)
     n, p = centered.shape
@@ -186,7 +187,10 @@ def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
         # past column p, zero columns keep the skewed view in bounds
         block = np.pad(block, ((0, 0), (0, b1 + dmax - 1 - b0 - block.shape[1])))
         band[b0:b1] = _skew(block, b1 - b0, dmax)
-    gram = centered @ centered.T
+    if dmax >= p:
+        sq = np.einsum("id,id->d", band, band)
+        return band, float(2.0 * sq.sum() - sq[0])
+    gram = centered @ centered.T if n < p else centered.T @ centered
     return band, float(np.einsum("ij,ij->", gram, gram)) / n**2
 
 

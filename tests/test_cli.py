@@ -9,12 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from surecov.cli import (
     COMMANDS,
-    _parse_checked_csv,
     build_parser,
     load_config_file,
     main,
@@ -74,82 +71,6 @@ def test_read_matrix_csv_errors(tmp_path):
         read_matrix_csv(str(tmp_path / "missing.csv"))
 
 
-_NUMBERS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.integers(-10**6, 10**6).map(str),
-    st.sampled_from([" 1.5 ", "\t-2e3", "1_0", "+.5", "5.", "1e-400"]),
-)
-_ODD_CELLS = st.sampled_from([
-    "nan", "inf", "-Infinity", "1e400", "abc", "", " ", "x1", '"7"', '"a,b"', "\u0661",
-    "1\x00", "\xa01", "1e", "1__0",
-])
-
-
-@st.composite
-def _csv_bytes(draw) -> bytes:
-    """A small numeric CSV, plain or with one or two defects."""
-    width = draw(st.integers(1, 4))
-    lines = [",".join(f"c{j}" for j in range(width))] if draw(st.booleans()) else []
-    for _ in range(draw(st.integers(0, 9))):
-        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "commas"]))
-        if kind == "blank":
-            lines.append(draw(st.sampled_from(["", "  ", "\t", "\xa0", "\x1c"])))
-        elif kind == "commas":
-            lines.append("," * (width - 1))
-        else:
-            lines.append(",".join(draw(st.lists(_NUMBERS, min_size=width, max_size=width))))
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
-    raw_byte = False
-    for _ in range(draw(st.integers(0, 2)) if lines else 0):
-        k = draw(st.sampled_from([0] * len(lines) + list(range(len(lines)))))
-        defect = draw(st.sampled_from(["cell", "ragged", "quoted", "line end", "byte"]))
-        if defect == "cell":
-            cells = lines[k].split(",")
-            cells[draw(st.integers(0, len(cells) - 1))] = draw(_ODD_CELLS)
-            lines[k] = ",".join(cells)
-        elif defect == "ragged":
-            cells = lines[k].split(",")
-            grow = len(cells) == 1 or draw(st.booleans())
-            lines[k] = ",".join(cells + [draw(_NUMBERS)] if grow else cells[:-1])
-        elif defect == "quoted":
-            lines[k] = ",".join(f'"{cell}"' for cell in lines[k].split(","))
-        elif defect == "line end":
-            ends[k] = draw(st.sampled_from(["\r", "\r\r\n", "\n\r"]))
-        else:
-            raw_byte = True
-    text = "".join(line + end for line, end in zip(lines, ends))
-    if text and draw(st.booleans()):  # no final line end
-        text = text.rstrip("\r\n")
-    raw = text.encode("utf-8")
-    if raw_byte:  # a byte that is not UTF-8
-        cut = draw(st.integers(0, len(raw)))
-        raw = raw[:cut] + b"\xff" + raw[cut:]
-    return raw
-
-
-@settings(max_examples=500, deadline=None)
-@given(raw=_csv_bytes())
-@example(raw=b'"1","2"\n1,2\n3,4\n5,6\n7,8\n')  # a quoted numeric first row is data
-@example(raw=b"1\r2\n3\n4\n5\n6\n")  # a lone CR ends a record
-@example(raw=b"1\n2\x00\n3\n4\n5\n")  # a NUL is not trailing padding
-@example(raw=b"\xc2\xa0\n1\n2\n3\n4\n")  # a no-break space line is blank
-def test_fast_ingest_matches_checked_parser(tmp_path_factory, raw):
-    """``read_matrix_csv`` returns the checked parser's array byte for byte, or
-    raises its ``DataError`` with the same text."""
-    path = tmp_path_factory.getbasetemp() / "ingest.csv"
-    path.write_bytes(raw)
-    try:
-        expected = _parse_checked_csv(str(path), raw)
-    except DataError as exc:
-        with pytest.raises(DataError) as got:
-            read_matrix_csv(str(path))
-        assert str(got.value) == str(exc)
-        return
-    got = read_matrix_csv(str(path))
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
-
-
 def test_non_utf8_data_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes("a,b\n1,2\n3,4\n5,6\n7,caf\xe9\n".encode("latin-1"))
@@ -173,6 +94,23 @@ def test_output_in_missing_directory_exits_2_before_work(tmp_path, capsys, argv,
     assert main(argv + [flag, str(target)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {flag} {target}: directory {target.parent} does not exist"]
+
+
+def test_unwritable_output_is_a_usage_error(data_csv, tmp_path, capsys):
+    # the directory exists, so only the write itself fails
+    target = tmp_path / ("x" * 300)
+    assert main(["select", "--data", str(data_csv[0]), "--profile-out", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {target}: File name too long"]
+
+
+def test_other_os_errors_are_not_usage_errors(data_csv, monkeypatch):
+    def fail(*args):
+        raise OSError("no resources")
+
+    monkeypatch.setattr("surecov.cli.band_gram", fail)
+    with pytest.raises(OSError, match="no resources"):
+        main(["select", "--data", str(data_csv[0])])
 
 
 def test_config_value_error_names_the_file(data_csv, tmp_path, capsys):

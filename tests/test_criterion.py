@@ -160,6 +160,7 @@ def test_row_path_matches_dense_profile(seed, n, p, tau_extra, c_extra, czz):
     s = mle_cov(data)
     band, frob_sq = band_gram(data, tau_max)
     assert band.shape == (p, tau_max)
+    assert frob_sq == pytest.approx(np.einsum("ij,ij->", s, s), rel=1e-12)
     for d in range(tau_max):
         expected = np.append(np.diagonal(s, d), np.zeros(min(d, p)))
         assert np.abs(band[:, d] - expected).max() <= 1e-14 * np.abs(s).max()

@@ -1,5 +1,7 @@
 """Weight schemes and tapered covariance estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from surecov.estimate import (
     Banding,
     CustomToeplitz,
     CzzTaper,
+    band_gram,
     frob_sq_dist,
     mle_cov,
     taper,
@@ -168,3 +171,19 @@ def test_taper_matches_dense_definition(scheme):
     for tau in range(1, 11):
         expected = scheme.weights(tau, 9)[dist] * sigma
         assert taper(sigma, scheme, tau).matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dmax", [2, 5])  # the total from a gram, then from the band
+def test_band_gram_on_tall_data_makes_no_n_by_n_array(dmax):
+    n, p = 20_000, 5
+    data = Dataset(rows=np.random.default_rng(3).normal(size=(n, p)))
+    tracemalloc.start()
+    try:
+        band, frob_sq = band_gram(data, dmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * p * 8  # a few copies of the data; one n x n array is n^2 * 8
+    s = mle_cov(data)
+    assert np.allclose(band[:, 0], np.diagonal(s), rtol=1e-13, atol=0)
+    assert frob_sq == pytest.approx(np.einsum("ij,ij->", s, s), rel=1e-12)
