@@ -146,7 +146,8 @@ def read_matrix_csv(path: str) -> np.ndarray:
     try:
         with p.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            for lineno, record in enumerate(reader, start=1):
+            for record in reader:
+                lineno = reader.line_num  # the record's last line
                 if all(not cell.strip() for cell in record):
                     continue
                 if width is None:

@@ -35,23 +35,24 @@ matrix total minus the other bins.  That is O(p * tau_max) per matrix plus
 one pass for its total, then O(tau_max) per grid point: one row of a weight
 table times the sums.
 
-The MLE need not be formed at all.  :func:`sure_profile_from_band` reads the
-sums off the band that :func:`~surecov.estimate.band_gram` computes from the
-data rows, with the total from the smaller gram: O(n p + p tau_max) memory.
-``surecov select`` takes that path; only its ``--format dense`` estimate
-forms the p x p MLE.
+All sums are read off one layout, ``band[i, d] = s[i, i+d]`` for d < tau_max
+(0 where i + d >= p): ``S1`` and the cross sums ``sum_{|i-j|=d} s_ij sigma_ij``
+are column sums of two bands' product (:func:`_sums`), ``S2`` comes from the
+diagonal ``band[:, 0]``.  :func:`~surecov.estimate._band` reads the band off a
+dense matrix; :func:`~surecov.estimate.band_gram` computes it from the data
+rows, with the total from the smaller gram, in O(n p + p tau_max) memory.
+``surecov select`` takes that path; only ``--format dense`` forms the MLE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import WeightScheme, _skew, frob_sq_dist, taper, unbiased_cov
+from .estimate import WeightScheme, _band, frob_sq_dist, taper, unbiased_cov
 from .model import Matrix
 
 __all__ = [
@@ -82,49 +83,23 @@ class SureConstants:
 
 
 def sure_constants(n: int, c: float = 2.0) -> SureConstants:
-    """Compute ``a_n`` and ``b_n``; requires n >= 3 (n = 3 gives a_n = 0)."""
+    """Compute ``a_n`` and ``b_n``; needs n >= 3 (n = 3 gives a_n = 0) and finite c >= 2."""
     if n < 3:
         raise DataError(f"SURE constants require n >= 3, got n={n}")
-    if c < 2:
-        raise ParameterError(f"penalty multiplier c must be >= 2, got c={c}")
+    if not 2.0 <= c < np.inf:
+        raise ParameterError(f"penalty multiplier c must be finite and >= 2, got c={c}")
     a_n = n * (n - 3) / ((n - 1) * (n - 2) * (n + 1))
     b_n = n / ((n + 1) * (n - 2))
     return SureConstants(n=n, c=float(c), a_n=a_n, b_n=b_n)
 
 
-@lru_cache(maxsize=16)
-def _upper_left(k: int) -> NDArray[np.bool_]:
-    """Read-only ``k x k`` mask, true where ``u + e < k``."""
-    mask = np.tri(k, dtype=bool)[::-1]
-    mask.flags.writeable = False
-    return mask
-
-
-def _per_distance_sums(a: Matrix, b: Matrix, dmax: int, total: float) -> NDArray[np.float64]:
-    """``out[d] = sum_{|i-j|=d} a_ij b_ij`` for ``d < dmax``, for symmetric ``a``
-    and ``b``, and the tail bin ``out[dmax]`` (see :func:`_fold`).
-
-    Distances go in bands ``[d0, d0 + w)``.  The rows that hold the whole band
-    are one skewed view; by symmetry, the triangle left at the bottom right is
-    the top-left half of a square skewed view of the reversed matrix.  A band
-    at most half the remaining width keeps that square in the matrix: one band
-    for ``dmax <= (p + 3) // 2``, about log2(p) for all distances.  Nothing p x p
-    is built; the largest temporary is a band's boolean mask, (w - 1)^2 bytes.
-    """
-    p = a.shape[0]
-    out = np.zeros(dmax + 1)
-    d0, stop = 0, min(dmax, p)
-    while d0 < stop:
-        w = min(stop - d0, (p + 3 - d0) // 2)
-        m, k = p - d0 - w + 1, w - 1
-        ha = _skew(a[:, d0:], m, w)
-        out[d0 : d0 + w] = np.einsum("id,id->d", ha, ha if b is a else _skew(b[:, d0:], m, w))
-        if k:
-            ta = _skew(a[::-1, ::-1][:, d0:], k, k)
-            tb = ta if b is a else _skew(b[::-1, ::-1][:, d0:], k, k)
-            out[d0 : d0 + k] += np.einsum("ue,ue,ue->e", ta, tb, _upper_left(k))
-        d0 += w
-    return _fold(out, p, total)
+def _sums(a: Matrix, b: Matrix, total: float) -> NDArray[np.float64]:
+    """``out[d] = sum_{|i-j|=d} a_ij b_ij`` for ``d`` below the band width, from
+    the bands (see :func:`~surecov.estimate._band`) of symmetric ``a`` and ``b``
+    whose entrywise product sums to ``total``, and the tail bin (see :func:`_fold`)."""
+    out = np.zeros(a.shape[1] + 1)
+    out[:-1] = np.einsum("id,id->d", a, b)
+    return _fold(out, len(a), total)
 
 
 def _fold(out: NDArray[np.float64], p: int, total: float) -> NDArray[np.float64]:
@@ -145,10 +120,10 @@ def _s2_sums(dvec: NDArray[np.float64], dmax: int) -> NDArray[np.float64]:
     return _fold(s2, len(dvec), dvec.sum() ** 2)
 
 
-def _band_sums(m: Matrix, dmax: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """``S1`` and ``S2`` of ``m`` for ``d < dmax``, each with its tail bin."""
-    s1 = _per_distance_sums(m, m, dmax, np.einsum("ij,ij->", m, m))
-    return s1, _s2_sums(np.diagonal(m), dmax)
+def _band_sums(band: Matrix, frob_sq: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``S1`` and ``S2`` of the matrix with this band and ``||m||_F^2 = frob_sq``,
+    for ``d`` below the band width, each with its tail bin."""
+    return _sums(band, band, frob_sq), _s2_sums(band[:, 0], band.shape[1])
 
 
 def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -158,7 +133,7 @@ def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     Off-diagonal distances count both triangles.
     """
     m = np.asarray(sigma, dtype=np.float64)
-    s1, s2 = _band_sums(m, len(m))
+    s1, s2 = _band_sums(_band(m, len(m)), np.einsum("ij,ij->", m, m))
     return s1[:-1], s2[:-1]
 
 
@@ -227,8 +202,9 @@ def sure_profile(
     Ties are broken toward the smallest tau (the most parsimonious estimate).
     """
     grid = _check_profile_args(consts, tau_grid)
-    s1, s2 = _band_sums(np.asarray(sigma_tilde, dtype=np.float64), max(grid))
-    return _select(s1, s2, consts, scheme, grid)
+    s = np.asarray(sigma_tilde, dtype=np.float64)
+    frob_sq = np.einsum("ij,ij->", s, s)
+    return sure_profile_from_band(_band(s, max(grid)), frob_sq, consts, scheme, grid)
 
 
 def sure_profile_from_band(
@@ -249,11 +225,8 @@ def sure_profile_from_band(
     dmax = max(grid)
     if band.shape[1] < dmax:
         raise ParameterError(f"the band holds {band.shape[1]} distances, the grid needs {dmax}")
-    head = band[:, :dmax]
-    s1 = np.zeros(dmax + 1)
-    s1[:dmax] = np.einsum("id,id->d", head, head)
-    s1 = _fold(s1, len(band), frob_sq)
-    return _select(s1, _s2_sums(band[:, 0], dmax), consts, scheme, grid)
+    s1, s2 = _band_sums(band[:, :dmax], frob_sq)
+    return _select(s1, s2, consts, scheme, grid)
 
 
 def _check_profile_args(consts: SureConstants, tau_grid) -> tuple[int, ...]:

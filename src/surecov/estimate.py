@@ -13,6 +13,7 @@ only and satisfy, for every tapering parameter ``tau >= 1``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -166,6 +167,32 @@ def _skew(a: Matrix, rows: int, cols: int) -> Matrix:
     """Read-only view ``v[i, d] = a[i, i + d]``; the caller keeps it in bounds."""
     s0, s1 = a.strides
     return as_strided(a, shape=(rows, cols), strides=(s0 + s1, s1), writeable=False)
+
+
+@lru_cache(maxsize=16)
+def _past_end(k: int) -> NDArray[np.bool_]:
+    """Read-only ``k x k`` mask, true where ``u + e >= k``."""
+    mask = np.add.outer(np.arange(k), np.arange(k)) >= k
+    mask.flags.writeable = False
+    return mask
+
+
+def _band(m: Matrix, dmax: int) -> Matrix:
+    """The band of a dense symmetric ``m`` in :func:`band_gram`'s layout.
+
+    ``band[i, d] = m[i, i + d]`` for ``d < dmax``, and 0 where ``i + d >= p``.
+    Rows ``0 .. p-2`` come from one skewed view of C-contiguous memory, whose
+    rows run on into the next row of ``m`` past the end; the mask zeroes those.
+    """
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    p = m.shape[0]
+    w = min(dmax, p)
+    band = np.empty((p, dmax))
+    band[: p - 1, :w] = _skew(m, p - 1, w)
+    band[p - 1, 0] = m[p - 1, p - 1]
+    band[:, w:] = 0.0
+    band[p - w :, :w][_past_end(w)] = 0.0
+    return band
 
 
 def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:

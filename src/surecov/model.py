@@ -49,8 +49,8 @@ class PolyDecay:
     def __post_init__(self) -> None:
         if not 0 <= self.rho < 1:
             raise ParameterError(f"PolyDecay requires 0 <= rho < 1, got {self.rho}")
-        if self.alpha <= 0:
-            raise ParameterError(f"PolyDecay requires alpha > 0, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ParameterError(f"PolyDecay requires a finite alpha > 0, got {self.alpha}")
         _check_dim(self.p)
 
 
@@ -78,6 +78,8 @@ class BandedUniform:
 
     def __post_init__(self) -> None:
         _check_dim(self.p)
+        if not np.isfinite(self.offdiag):
+            raise ParameterError(f"BandedUniform requires a finite offdiag, got {self.offdiag}")
         if not 1 <= self.k0 <= self.p:
             raise ParameterError(
                 f"BandedUniform requires 1 <= k0 <= p, got k0={self.k0}, p={self.p}"

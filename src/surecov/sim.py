@@ -26,15 +26,15 @@ from numpy.typing import NDArray
 
 from .criterion import (
     _band_sums,
-    _per_distance_sums,
     _smallest_argmin,
+    _sums,
     _sure_values,
     _weight_table,
     default_tau_grid,
     sure_constants,
 )
 from .errors import DataError, ParameterError
-from .estimate import Banding, WeightScheme, mle_cov
+from .estimate import Banding, WeightScheme, _band, mle_cov
 from .model import (
     ArDecay,
     BandedUniform,
@@ -142,9 +142,7 @@ class ExperimentConfig:
                     raise ParameterError(f"symbolic c must be 'logn', got {cv!r}")
                 out["logn"] = math.log(self.n)
             else:
-                if cv < 2:
-                    raise ParameterError(f"c must be >= 2, got {cv}")
-                out[f"{cv:g}"] = float(cv)
+                out[f"{cv:g}"] = sure_constants(self.n, cv).c
         return out
 
     def echo(self) -> dict:
@@ -223,6 +221,7 @@ class _ExperimentContext:
         self.keep_loss_curve = keep_loss_curve
         # per-distance weight tables, one row per tau; the tail column d = dmax is 0
         self.dmax = max(self.grid)
+        self.sigma_band = _band(self.sigma, self.dmax)
         self.w = _weight_table(config.scheme, self.grid, self.dmax + 1)
         self.w_sq = self.w**2
         self.gap_sq = (sure_constants(config.n).gamma - self.w) ** 2
@@ -231,9 +230,9 @@ class _ExperimentContext:
         cfg = self.config
         seed = derive_seed(cfg.base_seed, rep_index)
         s_tilde = mle_cov(Dataset(rows=_draw_rows(self.chol, cfg.n, seed)))
-        s1, s2 = _band_sums(s_tilde, self.dmax)
-        cross_total = np.einsum("ij,ij->", s_tilde, self.sigma)
-        cross = _per_distance_sums(s_tilde, self.sigma, self.dmax, cross_total)
+        band = _band(s_tilde, self.dmax)
+        s1, s2 = _band_sums(band, np.einsum("ij,ij->", s_tilde, s_tilde))
+        cross = _sums(band, self.sigma_band, np.einsum("ij,ij->", s_tilde, self.sigma))
         # loss(tau) = sum_d w^2 S1(d) - 2 w X(d) + T(d), all per-distance sums
         loss_curve = self.w_sq @ s1 - 2.0 * (self.w @ cross) + self.sig_sq
 
@@ -416,7 +415,8 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     def one(rep_index: int) -> float:
         rows = _draw_rows(chol, config.n, derive_seed(config.base_seed, rep_index))
-        s1, s2 = _band_sums(mle_cov(Dataset(rows=rows)), tau)
+        s = mle_cov(Dataset(rows=rows))
+        s1, s2 = _band_sums(_band(s, tau), np.einsum("ij,ij->", s, s))
         return (float(_sure_values(w, gap_sq, s1, s2, consts)[0]) - float(risk)) / scale
 
     threads = resolve_threads(config.threads)

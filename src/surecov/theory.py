@@ -70,7 +70,7 @@ from numpy.typing import NDArray
 
 from .criterion import _band_sums, _check_grid, _smallest_argmin, _weight_table, sure_constants
 from .errors import DataError, ParameterError
-from .estimate import WeightScheme
+from .estimate import WeightScheme, _band
 from .model import Matrix
 
 __all__ = [
@@ -93,15 +93,15 @@ VAR_EXACT_CAP = 64
 class CoeffSet:
     """The five per-entry coefficients, as functions of (n, c, omega)."""
 
-    abar: float
-    bbar: float
-    Abar: float
-    Bbar: float
-    Cbar: float
+    abar: float | NDArray[np.float64]
+    bbar: float | NDArray[np.float64]
+    Abar: float | NDArray[np.float64]
+    Bbar: float | NDArray[np.float64]
+    Cbar: float | NDArray[np.float64]
 
 
-def coeffs(n: int, c: float, omega: float) -> CoeffSet:
-    """Coefficient set at a single weight value.
+def coeffs(n: int, c: float, omega) -> CoeffSet:
+    """Coefficient set at a weight value, or entrywise at an array of them.
 
     ``Bbar`` is computed as ``omega^2 + n/(n-1)*(c-2)*omega``, which equals
     ``abar + (a_n + (n-1) b_n) * bbar`` exactly (since
@@ -109,16 +109,17 @@ def coeffs(n: int, c: float, omega: float) -> CoeffSet:
     """
     if n < 4:
         raise DataError(f"coefficients require n >= 4, got n={n}")
-    if not 0.0 <= omega <= 1.0:
+    w = np.asarray(omega, dtype=np.float64)
+    if not np.all((0.0 <= w) & (w <= 1.0)):
         raise ParameterError(f"omega must lie in [0, 1], got {omega}")
     k = sure_constants(n)
-    abar = (k.gamma - omega) ** 2
-    bbar = c * omega - k.gamma
+    abar = (k.gamma - w) ** 2
+    bbar = c * w - k.gamma
     return CoeffSet(
         abar=abar,
         bbar=bbar,
         Abar=abar + k.a_n * bbar,
-        Bbar=omega**2 + k.gamma * (c - 2.0) * omega,
+        Bbar=w**2 + k.gamma * (c - 2.0) * w,
         Cbar=abar + (k.a_n + k.b_n) * bbar,
     )
 
@@ -153,10 +154,11 @@ def risk_profile(
     """
     if n < 4:
         raise DataError(f"risk profile requires n >= 4, got n={n}")
+    sure_constants(n, c)  # checks c
     sigma = np.asarray(sigma, dtype=np.float64)
     p = sigma.shape[0]
     grid = _check_grid(tau_grid if tau_grid is not None else range(1, min(p, n) + 1))
-    t1, t2 = _band_sums(sigma, max(grid))
+    t1, t2 = _band_sums(_band(sigma, max(grid)), np.einsum("ij,ij->", sigma, sigma))
     w = _weight_table(scheme, grid, max(grid) + 1)
     # f1(0) = 1 counts the tail bin's sigma_ij^2 in full; f2(0) = 0
     f1 = (n - 1) / n * w**2 - (2 * n - c) / n * w + 1.0
@@ -175,15 +177,6 @@ class VarApprox:
     value: float
     method: str
     truncation_band: int | None = None
-
-
-def _coeff_vectors(n: int, c: float, scheme: WeightScheme, tau: int, dmax: int):
-    # Abar(w_d) and Bbar(w_d) for d < dmax; Bbar is exactly 0 where w_d = 0
-    w = scheme.weights(tau, dmax)
-    k = sure_constants(n)
-    abar = (k.gamma - w) ** 2
-    bbar = c * w - k.gamma
-    return abar + k.a_n * bbar, w**2 + k.gamma * (c - 2.0) * w
 
 
 def _quartic_contraction_dense(amat: Matrix, s: Matrix) -> float:
@@ -229,7 +222,8 @@ def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, tau
     p = sigma.shape[0]
     k = min(band, p)
     ht = min(tau, p)
-    avec, bvec = _coeff_vectors(n, c, scheme, tau, max(tau, 2 * k - 1) + 1)
+    cs = coeffs(n, c, scheme.weights(tau, max(tau, 2 * k - 1) + 1))
+    avec, bvec = cs.Abar, cs.Bbar  # Bbar is exactly 0 where w = 0
     alpha0 = avec[-1]  # w = 0 from distance tau on
     cols = np.arange(p)[:, None] + np.arange(1 - k, k)
     s = np.where((cols >= 0) & (cols < p), sigma[np.arange(p)[:, None], cols % p], 0.0)
@@ -264,7 +258,8 @@ def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, tau
 
 def _var_terms_dense(s: Matrix, n: int, c: float, scheme: WeightScheme, tau: int):
     p = s.shape[0]
-    avec, bvec = _coeff_vectors(n, c, scheme, tau, p)
+    cs = coeffs(n, c, scheme.weights(tau, p))
+    avec, bvec = cs.Abar, cs.Bbar
     dist = np.abs(np.arange(p)[:, None] - np.arange(p))
     amat, bmat = avec[dist], bvec[dist]
     u = bmat @ np.diagonal(s)  # u_j = sum_i Bbar_ij s_ii
@@ -388,18 +383,16 @@ def exact_sure_variance(
     if not 4 <= n <= 100:
         raise ParameterError(f"exact_sure_variance needs 4 <= n <= 100, got n={n}")
 
-    k = sure_constants(n)
-    wvec = scheme.weights(tau, p)
+    b_n = sure_constants(n).b_n
+    cs = coeffs(n, c, scheme.weights(tau, p))
 
     # SURE_c = sum over terms: coef * m[pair1] * m[pair2]
     terms: list[tuple[float, tuple[int, int], tuple[int, int]]] = []
     for i in range(p):
         for j in range(p):
-            w = wvec[abs(i - j)]
-            abar = (k.gamma - w) ** 2
-            bbar = c * w - k.gamma
-            terms.append((abar + k.a_n * bbar, (i, j), (i, j)))
-            terms.append((k.b_n * bbar, (i, i), (j, j)))
+            d = abs(i - j)
+            terms.append((cs.Abar[d], (i, j), (i, j)))
+            terms.append((b_n * cs.bbar[d], (i, i), (j, j)))
 
     iss_cache: dict[tuple[int, ...], float] = {}
 

@@ -71,6 +71,14 @@ def test_read_matrix_csv_errors(tmp_path):
         read_matrix_csv(str(tmp_path / "missing.csv"))
 
 
+def test_csv_errors_name_lines_not_records(tmp_path):
+    # the quoted header cell spans lines 1-2, so the fifth line is the fourth record
+    path = tmp_path / "ml.csv"
+    path.write_text('"a\nb",c\n1,2\n3,4\n5,x\n')
+    with pytest.raises(DataError, match=r"ml\.csv:5: non-numeric value 'x' in column 2"):
+        read_matrix_csv(str(path))
+
+
 def test_non_utf8_data_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes("a,b\n1,2\n3,4\n5,6\n7,caf\xe9\n".encode("latin-1"))
@@ -134,6 +142,33 @@ def test_select_non_finite_or_overflowing_data(tmp_path, capsys, cell, code):
     assert len(err) == 1 and err[0].startswith("error: ")  # no warnings, no traceback
     if code == 3:
         assert f"data.csv:3:3: non-finite value '{cell}'" in err[0]
+
+
+_RISK = ["risk", "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "20"]
+_SIMULATE = ["simulate", "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "20",
+             "--replications", "2"]
+_CLT = ["clt", "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "20", "--tau", "2",
+        "--reps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(base + ["--c", c] for base in (_RISK, _SIMULATE, _CLT) for c in ("nan", "inf")),
+        _RISK + ["--c", "1"],
+        ["risk", "--model", "poly-decay", "--p", "6", "--n", "20", "--alpha", "nan"],
+        *(["risk", "--model", "banded-uniform", "--p", "6", "--n", "20", "--offdiag", v]
+          for v in ("nan", "inf")),
+        ["select", "--c", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_non_finite_or_small_c_and_model_parameters_exit_2(data_csv, capsys, argv):
+    if argv[0] == "select":
+        argv = argv + ["--data", str(data_csv[0])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("tau_max", ["0", "-5"])

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from surecov.criterion import (
     CriterionProfile,
-    _per_distance_sums,
     _smallest_argmin,
+    _sums,
     band_sums,
     default_tau_grid,
     profile_values,
@@ -27,7 +27,7 @@ from surecov.criterion import (
     sure_profile_from_band,
 )
 from surecov.errors import DataError, ParameterError
-from surecov.estimate import Banding, CzzTaper, band_gram, mle_cov
+from surecov.estimate import Banding, CzzTaper, _band, band_gram, mle_cov
 from surecov.model import ArDecay, Dataset, build_sigma, sample_dataset
 
 
@@ -76,8 +76,26 @@ def test_per_distance_sums_match_diagonal_loop(seed, p):
     total = float(np.sum(a * b))
     scale = float(np.sum(np.abs(a * b)))
     for dmax in range(1, p + 2):
-        got = _per_distance_sums(a, b, dmax, total)
+        got = _sums(_band(a, dmax), _band(b, dmax), total)
         assert got == pytest.approx(_diagonal_loop(a, b, dmax), rel=1e-12, abs=1e-13 * scale)
+
+
+def _band_by_index(m, dmax):
+    p = m.shape[0]
+    return np.array([[m[i, i + d] if i + d < p else 0.0 for d in range(dmax)] for i in range(p)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 40))
+def test_band_of_strided_input_matches_indexing(seed, p):
+    # the skewed rows read past row ends, which stays inside the buffer only on
+    # C-contiguous memory: other layouts are copied and must give the same band
+    wide = np.random.default_rng(seed).normal(size=(p, p + 3))
+    full = wide[:, :p] + wide[:, :p].T
+    wide[:, 1 : p + 1] = full
+    for m in (full, full[::-1, ::-1], np.asfortranarray(full), wide[:, 1 : p + 1]):
+        for dmax in range(1, p + 2):
+            assert np.array_equal(_band(m, dmax), _band_by_index(m, dmax))
 
 
 @settings(max_examples=40, deadline=None)
