@@ -3,7 +3,7 @@
 Subcommands
 -----------
 select      tune tau on a CSV of observations and write profile/estimate files
-simulate    run a Monte Carlo experiment (preset or fully custom model)
+simulate    run a Monte Carlo experiment on a model given by flags
 risk        exact risk profile R_c(tau) for a model, plus the oracle tau
 clt         standardized-SURE normality experiment at a fixed tau
 table1      shorthand for the decay-model loss benchmark
@@ -31,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .criterion import default_tau_grid, sure_constants, sure_profile, sure_profile_from_band
+from .criterion import default_tau_grid, resolve_c, sure_constants, sure_profile_from_band
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import Banding, CzzTaper, WeightScheme, band_gram, mle_cov, taper
+from .estimate import Banding, CzzTaper, WeightScheme, band_gram
 from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay, build_sigma
 from .sim import (
     ExperimentConfig,
@@ -215,22 +215,25 @@ def write_profile_csv(path: str, grid: tuple[int, ...], values) -> None:
             fh.write(f"{t},{_format_float(v)}\n")
 
 
-def write_estimate(
-    path: str, estimate: np.ndarray, scheme: WeightScheme, tau: int, fmt: str
-) -> None:
-    """For ``fmt == "band"``, ``i,j,value`` triplets (1-based, upper triangle) of
-    the tapered band, with ``estimate`` the band of :func:`band_gram`; otherwise
-    ``taper(estimate, scheme, tau)`` of the p x p MLE ``estimate`` as dense CSV."""
+def write_estimate(path: str, band: np.ndarray, scheme: WeightScheme, tau: int, fmt: str) -> None:
+    """The tapered band ``values[i, d]`` of entry ``(i, i + d)``, from the band of
+    :func:`band_gram`: as ``i,j,value`` triplets (1-based, upper triangle) for
+    ``fmt == "band"``, else as a dense CSV written row by row (row i is
+    ``values[j, i - j]`` for ``j < i``, then ``values[i]``, 0 outside the band)."""
+    p = band.shape[0]
+    values = band[:, :tau] * scheme.weights(tau, tau)
     with _output(path) as fh:
         if fmt == "band":
-            p = estimate.shape[0]
-            values = estimate[:, :tau] * scheme.weights(tau, tau)
             for i in range(p):
                 for d, v in enumerate(values[i, : p - i]):
                     fh.write(f"{i + 1},{i + d + 1},{_format_float(v)}\n")
         else:
-            for row in taper(estimate, scheme, tau).matrix:
-                fh.write(",".join(_format_float(v) for v in row) + "\n")
+            zero = _format_float(0.0)
+            for i in range(p):
+                left = np.arange(max(0, i - tau + 1), i)
+                seg = np.concatenate((values[left, i - left], values[i, : p - i]))
+                row = [zero] * (i - left.size) + [_format_float(v) for v in seg]
+                fh.write(",".join(row + [zero] * (p - len(row))) + "\n")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -249,7 +252,7 @@ def model_from_args(ns: argparse.Namespace) -> CovModel:
     """The model of ``--model`` and its flags; every caller also needs ``--n``."""
     kind = ns.model
     if kind is None:
-        raise ParameterError("a model is required: pass --model or a preset")
+        raise ParameterError("a model is required: pass --model")
     if ns.p is None:
         raise ParameterError("--p is required with --model")
     if ns.n is None:
@@ -290,22 +293,16 @@ def cmd_select(ns: argparse.Namespace) -> int:
     scheme = scheme_from_name(ns.scheme)
     data = Dataset(rows=read_matrix_csv(ns.data))
     n, p = data.rows.shape
-    c = math.log(n) if ns.c == "logn" else float(ns.c)
+    consts = sure_constants(n, ns.c)
     grid = default_tau_grid(p, n, ns.tau_max)
-    consts = sure_constants(n, c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if ns.estimate_out and ns.format != "band":  # only a dense estimate forms S
-            estimate = mle_cov(data)
-            profile = sure_profile(estimate, consts, scheme, grid)
-        else:
-            estimate, frob_sq = band_gram(data, grid[-1])
-            profile = sure_profile_from_band(estimate, frob_sq, consts, scheme, grid)
+    band, frob_sq = band_gram(data, grid[-1])
+    profile = sure_profile_from_band(band, frob_sq, consts, scheme, grid)
     tau_hat = profile.selected_tau
 
     if ns.profile_out:
         write_profile_csv(ns.profile_out, profile.tau_grid, profile.values)
     if ns.estimate_out:
-        write_estimate(ns.estimate_out, estimate, scheme, tau_hat, ns.format)
+        write_estimate(ns.estimate_out, band, scheme, tau_hat, ns.format)
     report = {
         "config": {
             "subcommand": "select",
@@ -313,7 +310,7 @@ def cmd_select(ns: argparse.Namespace) -> int:
             "n": n,
             "p": p,
             "scheme": scheme.name,
-            "c": ns.c if ns.c == "logn" else c,
+            "c": ns.c if ns.c == "logn" else consts.c,
             "tau_grid": {"min": grid[0], "max": grid[-1]},
             "seed": None,
         },
@@ -376,7 +373,7 @@ def _simulate_csv(report) -> str:
 def cmd_simulate(ns: argparse.Namespace) -> int:
     if ns.preset == "table1":
         # a positional variant is on the command line, so it beats the config file
-        variant = getattr(ns, "variant_pos", None) or ns.variant or "model1-a05"
+        variant = ns.variant_pos or ns.variant or "model1-a05"
         config = table1_config(variant, fast=bool(ns.fast))
         if ns.p is not None:
             config = dataclasses.replace(
@@ -408,7 +405,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 def cmd_risk(ns: argparse.Namespace) -> int:
     model = model_from_args(ns)
     _default(ns, "c", 2.0)
-    c = math.log(ns.n) if ns.c == "logn" else float(ns.c)
+    c = resolve_c(ns.c, ns.n)
     scheme = scheme_from_name(ns.scheme)
     sigma = build_sigma(model)
     grid = default_tau_grid(model.p, ns.n, ns.tau_max)
@@ -500,10 +497,7 @@ COMMANDS: dict[str, tuple[str, dict, dict[str, dict]]] = {
         "--format": {"choices": ["dense", "band"]},
         **_COMMON,
     }),
-    "simulate": ("Monte Carlo experiments", {"func": cmd_simulate}, {
-        "preset": {"nargs": "?", "choices": ["table1", "table2"]},
-        "--variant": _VARIANT,
-        "--fast": _SWITCH,
+    "simulate": ("Monte Carlo experiments", {"func": cmd_simulate, "preset": None}, {
         **_MODEL,
         "--n": {"type": int},
         "--c": {"type": parse_c_list, "action": "extend", "help": "comma list, e.g. 2,logn"},
@@ -604,7 +598,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parse_args(argv)
         _check_outputs(ns)
-        return ns.func(ns)
+        # an overflow ends in a NumericalError from the finiteness checks, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ns.func(ns)
     except SystemExit as exc:  # argparse already printed the message (or the help)
         return int(exc.code or 0)
     except ParameterError as exc:

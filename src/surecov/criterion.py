@@ -41,11 +41,16 @@ are column sums of two bands' product (:func:`_sums`), ``S2`` comes from the
 diagonal ``band[:, 0]``.  :func:`~surecov.estimate._band` reads the band off a
 dense matrix; :func:`~surecov.estimate.band_gram` computes it from the data
 rows, with the total from the smaller gram, in O(n p + p tau_max) memory.
-``surecov select`` takes that path; only ``--format dense`` forms the MLE.
+``surecov select`` takes that path for every output, so it never forms the MLE.
+
+``SURE_c``, the exact risk ``R_c`` and the realised loss over a tau grid are
+products of one :class:`_Grid` weight table with such sums, and
+:func:`_smallest_argmin` picks the smallest minimising tau of finite values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +64,7 @@ __all__ = [
     "SureConstants",
     "CriterionProfile",
     "sure_constants",
+    "resolve_c",
     "band_sums",
     "sure_profile",
     "sure_profile_from_band",
@@ -82,15 +88,28 @@ class SureConstants:
         return self.n / (self.n - 1)
 
 
-def sure_constants(n: int, c: float = 2.0) -> SureConstants:
-    """Compute ``a_n`` and ``b_n``; needs n >= 3 (n = 3 gives a_n = 0) and finite c >= 2."""
+def resolve_c(c: float | str, n: int) -> float:
+    """The penalty multiplier, ``"logn"`` read as ``log n``: a finite c >= 2
+    (with n >= 3), else an error naming the c as given."""
     if n < 3:
         raise DataError(f"SURE constants require n >= 3, got n={n}")
-    if not 2.0 <= c < np.inf:
-        raise ParameterError(f"penalty multiplier c must be finite and >= 2, got c={c}")
+    if isinstance(c, str):
+        if c != "logn":
+            raise ParameterError(f"symbolic c must be 'logn', got {c!r}")
+        value, given = math.log(n), f"logn = log({n})"
+    else:
+        value, given = float(c), f"c={c}"
+    if not 2.0 <= value < np.inf:
+        raise ParameterError(f"penalty multiplier c must be finite and >= 2, got {given}")
+    return value
+
+
+def sure_constants(n: int, c: float | str = 2.0) -> SureConstants:
+    """``a_n`` and ``b_n``; needs n >= 3 (n = 3 gives a_n = 0) and c as in :func:`resolve_c`."""
+    c = resolve_c(c, n)
     a_n = n * (n - 3) / ((n - 1) * (n - 2) * (n + 1))
     b_n = n / ((n + 1) * (n - 2))
-    return SureConstants(n=n, c=float(c), a_n=a_n, b_n=b_n)
+    return SureConstants(n=n, c=c, a_n=a_n, b_n=b_n)
 
 
 def _sums(a: Matrix, b: Matrix, total: float) -> NDArray[np.float64]:
@@ -167,15 +186,22 @@ def default_tau_grid(p: int, n: int, tau_max: int | None = None) -> tuple[int, .
     return tuple(range(1, max(cap, 1) + 1))
 
 
-def _weight_table(scheme: WeightScheme, grid: tuple[int, ...], width: int) -> Matrix:
-    """``table[k, d] = w(grid[k], d)`` for ``d < width``."""
-    return np.vstack([scheme.weights(t, width) for t in grid])
+class _Grid:
+    """A checked tau grid and its weight table ``w[k, d] = w(taus[k], d)`` for
+    ``d < width``, by default ``dmax + 1``: the tail bin (see :func:`_fold`),
+    where every weight is 0, comes last.  ``gap_sq = (n/(n-1) - w)**2``."""
 
+    def __init__(self, scheme: WeightScheme, tau_grid, n: int, width: int | None = None):
+        self.taus = _check_grid(tau_grid)
+        self.dmax = max(self.taus)
+        cols = self.dmax + 1 if width is None else width
+        self.w = np.vstack([scheme.weights(t, cols) for t in self.taus])
+        self.gap_sq = (n / (n - 1) - self.w) ** 2
 
-def _sure_values(w: Matrix, gap_sq: Matrix, s1, s2, consts: SureConstants) -> NDArray[np.float64]:
-    """``SURE_c`` for each row of the weight table ``w``; ``gap_sq = (gamma - w)**2``."""
-    u = consts.a_n * s1 + consts.b_n * s2
-    return gap_sq @ s1 + consts.c * (w @ u) - consts.gamma * u.sum()
+    def sure(self, s1, s2, consts: SureConstants) -> NDArray[np.float64]:
+        """``SURE_c`` at every tau of the grid, from the band sums ``s1``, ``s2``."""
+        u = consts.a_n * s1 + consts.b_n * s2
+        return self.gap_sq @ s1 + consts.c * (self.w @ u) - consts.gamma * u.sum()
 
 
 def profile_values(
@@ -187,8 +213,7 @@ def profile_values(
 ) -> NDArray[np.float64]:
     """Criterion values from band sums: full length, or cut at ``dmax >=
     max(tau_grid)`` with a tail bin (whose weights are 0) for larger ``d``."""
-    w = _weight_table(scheme, tau_grid, len(s1))
-    return _sure_values(w, (consts.gamma - w) ** 2, s1, s2, consts)
+    return _Grid(scheme, tau_grid, consts.n, len(s1)).sure(s1, s2, consts)
 
 
 def sure_profile(
@@ -201,7 +226,7 @@ def sure_profile(
 
     Ties are broken toward the smallest tau (the most parsimonious estimate).
     """
-    grid = _check_profile_args(consts, tau_grid)
+    grid = _check_grid(tau_grid)
     s = np.asarray(sigma_tilde, dtype=np.float64)
     frob_sq = np.einsum("ij,ij->", s, s)
     return sure_profile_from_band(_band(s, max(grid)), frob_sq, consts, scheme, grid)
@@ -221,28 +246,14 @@ def sure_profile_from_band(
     :func:`~surecov.estimate.band_gram` returns.  ``S1`` for ``d < max(tau_grid)``
     is the column sums of ``band**2``, and its tail bin the total minus them.
     """
-    grid = _check_profile_args(consts, tau_grid)
-    dmax = max(grid)
-    if band.shape[1] < dmax:
-        raise ParameterError(f"the band holds {band.shape[1]} distances, the grid needs {dmax}")
-    s1, s2 = _band_sums(band[:, :dmax], frob_sq)
-    return _select(s1, s2, consts, scheme, grid)
-
-
-def _check_profile_args(consts: SureConstants, tau_grid) -> tuple[int, ...]:
     if consts.n < 4:
         raise DataError(f"the criterion requires n >= 4, got n={consts.n}")
-    return _check_grid(tau_grid)
-
-
-def _select(s1, s2, consts: SureConstants, scheme: WeightScheme, grid) -> CriterionProfile:
-    """The profile from band sums, with the smallest minimizing tau."""
-    values = profile_values(s1, s2, consts, scheme, grid)
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("criterion profile is not finite: the covariance overflows")
-    return CriterionProfile(
-        tau_grid=grid, values=values, c=consts.c, selected_tau=_smallest_argmin(grid, values)
-    )
+    grid = _Grid(scheme, tau_grid, consts.n)
+    if band.shape[1] < grid.dmax:
+        raise ParameterError(f"the band holds {band.shape[1]} distances, the grid needs {grid.dmax}")
+    s1, s2 = _band_sums(band[:, : grid.dmax], frob_sq)
+    values = grid.sure(s1, s2, consts)
+    return CriterionProfile(grid.taus, values, consts.c, _smallest_argmin(grid.taus, values))
 
 
 def sure_eq2_reference(
@@ -267,5 +278,9 @@ def sure_eq2_reference(
 
 
 def _smallest_argmin(grid: tuple[int, ...], values: NDArray[np.float64]) -> int:
+    """The smallest tau of ``grid`` at which ``values`` is least; every value
+    must be finite, which fails when the covariance overflows."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("profile over the tau grid is not finite: the covariance overflows")
     best = float(np.min(values))
     return min(t for t, v in zip(grid, values) if v == best)

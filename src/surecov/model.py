@@ -150,21 +150,24 @@ def build_sigma(model: CovModel) -> Matrix:
     """
     if isinstance(model, Explicit):
         return model.matrix.copy()
-    p = model.p
-    d = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    d = np.arange(model.p)
     if isinstance(model, PolyDecay):
         with np.errstate(divide="ignore"):
-            sigma = model.rho * np.where(d > 0, d, 1).astype(np.float64) ** (-(model.alpha + 1.0))
-        np.fill_diagonal(sigma, 1.0)
-        return sigma
-    if isinstance(model, ArDecay):
-        return np.float64(model.rho) ** d
-    if isinstance(model, BandedUniform):
-        sigma = np.where(d <= model.k0 - 1, model.offdiag, 0.0)
-        diag = 1.0 if model.unit_diagonal else 1.0 + model.offdiag
-        np.fill_diagonal(sigma, diag)
-        return sigma
-    raise ParameterError(f"unknown covariance model: {model!r}")
+            vals = model.rho * np.where(d > 0, d, 1).astype(np.float64) ** (-(model.alpha + 1.0))
+        vals[0] = 1.0
+    elif isinstance(model, ArDecay):
+        vals = np.float64(model.rho) ** d
+    elif isinstance(model, BandedUniform):
+        vals = np.where(d <= model.k0 - 1, model.offdiag, 0.0)
+        vals[0] = 1.0 if model.unit_diagonal else 1.0 + model.offdiag
+    else:
+        raise ParameterError(f"unknown covariance model: {model!r}")
+    return _toeplitz(vals, model.p)
+
+
+def _toeplitz(vals: NDArray[np.float64], p: int) -> Matrix:
+    """The symmetric Toeplitz matrix ``m[i, j] = vals[|i-j|]``, for ``len(vals) >= p``."""
+    return vals[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))]
 
 
 def model_bandwidth(model: CovModel) -> int | None:

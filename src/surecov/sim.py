@@ -26,11 +26,11 @@ from numpy.typing import NDArray
 
 from .criterion import (
     _band_sums,
+    _Grid,
     _smallest_argmin,
     _sums,
-    _sure_values,
-    _weight_table,
     default_tau_grid,
+    resolve_c,
     sure_constants,
 )
 from .errors import DataError, ParameterError
@@ -135,15 +135,9 @@ class ExperimentConfig:
         return default_tau_grid(self.p, self.n, self.tau_max)
 
     def resolved_c(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for cv in self.c_values:
-            if isinstance(cv, str):
-                if cv != "logn":
-                    raise ParameterError(f"symbolic c must be 'logn', got {cv!r}")
-                out["logn"] = math.log(self.n)
-            else:
-                out[f"{cv:g}"] = sure_constants(self.n, cv).c
-        return out
+        return {
+            cv if isinstance(cv, str) else f"{cv:g}": resolve_c(cv, self.n) for cv in self.c_values
+        }
 
     def echo(self) -> dict:
         return {
@@ -204,51 +198,49 @@ class ReplicationRecord:
     seed: int
     tau_hat: dict[str, int]
     loss: dict[str, float]
-    loss_curve: NDArray[np.float64] | None = None  # per-tau loss, c-independent
+    loss_curve: NDArray[np.float64]  # per-tau loss, c-independent
 
 
 class _ExperimentContext:
-    """Shared per-experiment precomputation (factorization done once)."""
+    """Shared per-experiment precomputation (factorization done once), over
+    ``grid`` or else the config's tau grid."""
 
-    def __init__(self, config: ExperimentConfig, keep_loss_curve: bool = False):
+    def __init__(self, config: ExperimentConfig, grid=None):
         self.config = config
         self.sigma = build_sigma(config.model)
         self.chol = cholesky_factor(self.sigma)
-        self.grid = config.tau_grid()
+        self.grid = _Grid(config.scheme, config.tau_grid() if grid is None else grid, config.n)
         self.cmap = config.resolved_c()
         self.consts = {k: sure_constants(config.n, c) for k, c in self.cmap.items()}
         self.sig_sq = float(np.einsum("ij,ij->", self.sigma, self.sigma))
-        self.keep_loss_curve = keep_loss_curve
-        # per-distance weight tables, one row per tau; the tail column d = dmax is 0
-        self.dmax = max(self.grid)
-        self.sigma_band = _band(self.sigma, self.dmax)
-        self.w = _weight_table(config.scheme, self.grid, self.dmax + 1)
-        self.w_sq = self.w**2
-        self.gap_sq = (sure_constants(config.n).gamma - self.w) ** 2
+        self.sigma_band = _band(self.sigma, self.grid.dmax)
+        self.w_sq = self.grid.w**2
 
-    def replicate(self, rep_index: int) -> ReplicationRecord:
+    def sums(self, rep_index: int):
+        """``(seed, s_tilde, band, s1, s2)`` of one replication: its seed, the
+        MLE of its draw, the MLE's band to the grid's ``dmax``, and its band sums."""
         cfg = self.config
         seed = derive_seed(cfg.base_seed, rep_index)
         s_tilde = mle_cov(Dataset(rows=_draw_rows(self.chol, cfg.n, seed)))
-        band = _band(s_tilde, self.dmax)
+        band = _band(s_tilde, self.grid.dmax)
         s1, s2 = _band_sums(band, np.einsum("ij,ij->", s_tilde, s_tilde))
+        return seed, s_tilde, band, s1, s2
+
+    def replicate(self, rep_index: int) -> ReplicationRecord:
+        seed, s_tilde, band, s1, s2 = self.sums(rep_index)
         cross = _sums(band, self.sigma_band, np.einsum("ij,ij->", s_tilde, self.sigma))
         # loss(tau) = sum_d w^2 S1(d) - 2 w X(d) + T(d), all per-distance sums
-        loss_curve = self.w_sq @ s1 - 2.0 * (self.w @ cross) + self.sig_sq
+        loss_curve = self.w_sq @ s1 - 2.0 * (self.grid.w @ cross) + self.sig_sq
 
+        taus = self.grid.taus
         tau_hat: dict[str, int] = {}
         loss: dict[str, float] = {}
         for key, consts in self.consts.items():
-            values = _sure_values(self.w, self.gap_sq, s1, s2, consts)
-            t = _smallest_argmin(self.grid, values)
+            t = _smallest_argmin(taus, self.grid.sure(s1, s2, consts))
             tau_hat[key] = t
-            loss[key] = float(loss_curve[self.grid.index(t)])
+            loss[key] = float(loss_curve[taus.index(t)])
         return ReplicationRecord(
-            rep_index=rep_index,
-            seed=seed,
-            tau_hat=tau_hat,
-            loss=loss,
-            loss_curve=loss_curve if self.keep_loss_curve else None,
+            rep_index=rep_index, seed=seed, tau_hat=tau_hat, loss=loss, loss_curve=loss_curve
         )
 
 
@@ -336,7 +328,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     empirical per-tau mean loss curve.
     """
     t0 = time.perf_counter()
-    ctx = _ExperimentContext(config, keep_loss_curve=True)
+    ctx = _ExperimentContext(config)
     threads = resolve_threads(config.threads)
     records = _map_ordered(ctx.replicate, config.replications, threads)
 
@@ -358,7 +350,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     curve = np.vstack([r.loss_curve for r in records])
     results["mean_loss_by_tau"] = [float(v) for v in curve.mean(axis=0)]
-    oracle = risk_profile(ctx.sigma, config.n, config.scheme, 2.0, ctx.grid)
+    oracle = risk_profile(ctx.sigma, config.n, config.scheme, 2.0, ctx.grid.taus)
     results["oracle"] = {
         "tau": oracle.oracle_tau,
         "min_risk": oracle.min_value(),
@@ -388,7 +380,6 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise DataError("clt experiment needs >= 2 replications (KS undefined)")
     tau = int(config.tau_fixed)
     ckey, c = _single_c(config)
-    sigma = build_sigma(config.model)
     p = config.p
 
     method = config.var_method
@@ -404,20 +395,15 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"cannot pick a var_n method automatically at p={p}: "
                 "pass var_method='banded-truncated' with a truncation_band"
             )
-    approx = var_n(sigma, config.n, config.scheme, tau, c, method=method, truncation_band=band)
-    risk = risk_profile(sigma, config.n, config.scheme, c, (tau,)).values[0]
+    ctx = _ExperimentContext(config, (tau,))
+    approx = var_n(ctx.sigma, config.n, config.scheme, tau, c, method=method, truncation_band=band)
+    risk = risk_profile(ctx.sigma, config.n, config.scheme, c, (tau,)).values[0]
     scale = math.sqrt(approx.value)
-
-    chol = cholesky_factor(sigma)
-    consts = sure_constants(config.n, c)
-    w = _weight_table(config.scheme, (tau,), tau + 1)
-    gap_sq = (consts.gamma - w) ** 2
+    consts = ctx.consts[ckey]
 
     def one(rep_index: int) -> float:
-        rows = _draw_rows(chol, config.n, derive_seed(config.base_seed, rep_index))
-        s = mle_cov(Dataset(rows=rows))
-        s1, s2 = _band_sums(_band(s, tau), np.einsum("ij,ij->", s, s))
-        return (float(_sure_values(w, gap_sq, s1, s2, consts)[0]) - float(risk)) / scale
+        _, _, _, s1, s2 = ctx.sums(rep_index)
+        return (float(ctx.grid.sure(s1, s2, consts)[0]) - float(risk)) / scale
 
     threads = resolve_threads(config.threads)
     sample = np.array(_map_ordered(one, config.replications, threads))

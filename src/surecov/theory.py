@@ -68,10 +68,10 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .criterion import _band_sums, _check_grid, _smallest_argmin, _weight_table, sure_constants
-from .errors import DataError, ParameterError
+from .criterion import _band_sums, _Grid, _smallest_argmin, default_tau_grid, sure_constants
+from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, _band
-from .model import Matrix
+from .model import Matrix, _toeplitz
 
 __all__ = [
     "CoeffSet",
@@ -156,17 +156,14 @@ def risk_profile(
         raise DataError(f"risk profile requires n >= 4, got n={n}")
     sure_constants(n, c)  # checks c
     sigma = np.asarray(sigma, dtype=np.float64)
-    p = sigma.shape[0]
-    grid = _check_grid(tau_grid if tau_grid is not None else range(1, min(p, n) + 1))
-    t1, t2 = _band_sums(_band(sigma, max(grid)), np.einsum("ij,ij->", sigma, sigma))
-    w = _weight_table(scheme, grid, max(grid) + 1)
+    grid = _Grid(scheme, default_tau_grid(len(sigma), n) if tau_grid is None else tau_grid, n)
+    t1, t2 = _band_sums(_band(sigma, grid.dmax), np.einsum("ij,ij->", sigma, sigma))
+    w = grid.w
     # f1(0) = 1 counts the tail bin's sigma_ij^2 in full; f2(0) = 0
     f1 = (n - 1) / n * w**2 - (2 * n - c) / n * w + 1.0
     f2 = (n - 1) / n**2 * w**2 + (c - 2.0) / n * w
     values = f1 @ t1 + f2 @ t2
-    return RiskProfile(
-        tau_grid=grid, values=values, c=float(c), oracle_tau=_smallest_argmin(grid, values)
-    )
+    return RiskProfile(grid.taus, values, float(c), _smallest_argmin(grid.taus, values))
 
 
 @dataclass(frozen=True)
@@ -246,7 +243,7 @@ def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, tau
     # on the 2k-1 columns around i and vanishes for |i-j| > 2k-2; by symmetry
     # in (i, j) each offset e > 0 counts twice
     w = 2 * k - 1
-    ablock = avec[np.abs(np.arange(w)[:, None] - np.arange(w))]
+    ablock = _toeplitz(avec, w)
     quartic = 0.0
     for e in range(min(w, p)):
         ve = s[: p - e, e:] * s[e:, : w - e]
@@ -260,8 +257,7 @@ def _var_terms_dense(s: Matrix, n: int, c: float, scheme: WeightScheme, tau: int
     p = s.shape[0]
     cs = coeffs(n, c, scheme.weights(tau, p))
     avec, bvec = cs.Abar, cs.Bbar
-    dist = np.abs(np.arange(p)[:, None] - np.arange(p))
-    amat, bmat = avec[dist], bvec[dist]
+    amat, bmat = _toeplitz(avec, p), _toeplitz(bvec, p)
     u = bmat @ np.diagonal(s)  # u_j = sum_i Bbar_ij s_ii
     msq = s * s
     pmat = amat * s
@@ -318,6 +314,8 @@ def var_n(
         + 8.0 * (n - 2) ** 3 / n4 * cross
         + 16.0 * (n - 2) ** 2 / n4 * ab
     )
+    if not math.isfinite(value):
+        raise NumericalError(f"var_n at tau={tau} is not finite: the covariance overflows")
     return VarApprox(tau=int(tau), value=value, method=method, truncation_band=band)
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import shlex
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,80 @@ def test_select_dense_estimate(data_csv, tmp_path, capsys):
                     for line in est.read_text().splitlines()])
     assert mat.shape == (12, 12)
     assert np.array_equal(mat, mat.T)
+
+
+@pytest.mark.parametrize("scheme", [Banding(), CzzTaper()])
+@pytest.mark.parametrize("n, p", [(30, 12), (100, 12), (40, 60)])
+def test_dense_select_is_the_tapered_mle(tmp_path, capsys, scheme, n, p):
+    path, est = tmp_path / "data.csv", tmp_path / "dense.csv"
+    rows = sample_dataset(build_sigma(ArDecay(rho=0.7, p=p)), n, seed=n + p).rows
+    _write_csv(path, rows)
+    assert main(["select", "--data", str(path), "--scheme", scheme.name,
+                 "--estimate-out", str(est)]) == 0
+    tau_hat = json.loads(capsys.readouterr().out)["results"]["selected_tau"]
+    s_tilde = mle_cov(Dataset(rows=rows))
+    consts = sure_constants(n, 2.0)
+    assert tau_hat == sure_profile(s_tilde, consts, scheme, default_tau_grid(p, n)).selected_tau
+
+    cells = [line.split(",") for line in est.read_text().splitlines()]
+    got = np.array([[float(v) for v in row] for row in cells])
+    expected = taper(s_tilde, scheme, tau_hat).matrix
+    assert got.shape == (p, p)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    dist = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    assert all(cells[i][j] == "0.0" for i, j in zip(*np.nonzero(dist >= tau_hat)))
+
+
+def test_dense_select_makes_no_p_by_p_array(tmp_path, capsys):
+    n, p = 30, 4000
+    path, est = tmp_path / "wide.csv", tmp_path / "dense.csv"
+    rows = sample_dataset(build_sigma(BandedUniform(k0=2, offdiag=0.3, p=p)), n, seed=9).rows
+    _write_csv(path, rows)
+    argv = ["select", "--data", str(path), "--tau-max", "3", "--estimate-out", str(est)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < p * p * 8 / 4  # a quarter of one p x p float64 array
+    tau_hat = json.loads(capsys.readouterr().out)["results"]["selected_tau"]
+    with open(est, encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\n").split(",")
+    assert len(first) == p and first[tau_hat:] == ["0.0"] * (p - tau_hat)
+
+
+@pytest.mark.parametrize("argv", [
+    ["risk", "--model", "banded-uniform", "--offdiag", "1e200", "--p", "6", "--n", "20"],
+    ["simulate", "--model", "banded-uniform", "--k0", "1", "--offdiag", "1e155",
+     "--p", "6", "--n", "20", "--replications", "3"],
+    ["clt", "--model", "banded-uniform", "--k0", "1", "--offdiag", "1e155",
+     "--p", "6", "--n", "20", "--tau", "2", "--replications", "5"],
+], ids=lambda argv: argv[0])
+def test_overflowing_model_exits_4(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "risk"])
+def test_logn_below_two_names_logn(capsys, command):
+    argv = [command, "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "5", "--c", "logn"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: penalty multiplier c must be finite and >= 2, got logn = log(5)"]
+
+
+def test_simulate_takes_no_preset(capsys):
+    assert main(["simulate", "table2", "--c", "3", "--scheme", "czz",
+                 "--model", "ar-decay", "--rho", "0.3"]) == 2
+    assert main(["simulate", "table1", "--kind", "consistency"]) == 2
+    assert main(["simulate", "--fast", "--model", "ar-decay", "--rho", "0.3"]) == 2
 
 
 def test_exit_codes(tmp_path, capsys):

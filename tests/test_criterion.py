@@ -21,12 +21,13 @@ from surecov.criterion import (
     band_sums,
     default_tau_grid,
     profile_values,
+    resolve_c,
     sure_constants,
     sure_eq2_reference,
     sure_profile,
     sure_profile_from_band,
 )
-from surecov.errors import DataError, ParameterError
+from surecov.errors import DataError, NumericalError, ParameterError
 from surecov.estimate import Banding, CzzTaper, _band, band_gram, mle_cov
 from surecov.model import ArDecay, Dataset, build_sigma, sample_dataset
 
@@ -219,6 +220,26 @@ def test_selection_tie_breaks_to_smallest_tau():
     values = np.array([5.0, 5.0, 7.0])
     profile = CriterionProfile(tau_grid=grid, values=values, c=2.0, selected_tau=1)
     assert _smallest_argmin(grid, values) == 1  # smallest tau among the tied minima
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_argmin_refuses_non_finite_values(bad):
+    with pytest.raises(NumericalError, match="not finite"):
+        _smallest_argmin((1, 2, 3), np.array([4.0, bad, 5.0]))
+
+
+def test_resolve_c():
+    assert resolve_c("logn", 250) == math.log(250)
+    assert resolve_c(2, 250) == 2.0 and isinstance(resolve_c(2, 250), float)
+    assert sure_constants(250, "logn").c == math.log(250)
+    with pytest.raises(ParameterError, match=r"got logn = log\(7\)$"):
+        resolve_c("logn", 7)  # log 7 < 2
+    with pytest.raises(ParameterError, match=r"got c=1.5$"):
+        resolve_c(1.5, 250)
+    with pytest.raises(ParameterError, match="'logn'"):
+        resolve_c("lgn", 250)
+    with pytest.raises(DataError):
+        resolve_c("logn", 0)
 
 
 def test_profile_selected_matches_helper():

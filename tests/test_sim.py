@@ -110,6 +110,20 @@ def _small_config(threads=1, reps=12):
     )
 
 
+def test_every_replication_keeps_its_loss_curve():
+    cfg = _small_config()
+    record = run_replication(cfg, 3)
+    assert record.loss_curve.shape == (len(cfg.tau_grid()),)
+    tau = record.tau_hat["2"]
+    assert record.loss["2"] == record.loss_curve[cfg.tau_grid().index(tau)]
+
+
+def test_logn_below_two_names_logn():
+    cfg = ExperimentConfig(model=BandedUniform(k0=3, offdiag=0.3, p=8), n=5, c_values=("logn",))
+    with pytest.raises(ParameterError, match=r"got logn = log\(5\)$"):
+        cfg.resolved_c()
+
+
 def test_payload_bytes_identical_across_thread_counts():
     r1 = run_experiment(_small_config(threads=1))
     r3 = run_experiment(_small_config(threads=3))
