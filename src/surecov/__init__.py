@@ -71,6 +71,7 @@ from .theory import (
     isserlis_moment,
     risk_profile,
     var_n,
+    var_profile,
 )
 
 __version__ = "0.1.0"
@@ -131,4 +132,5 @@ __all__ = [
     "table2_config",
     "unbiased_cov",
     "var_n",
+    "var_profile",
 ]

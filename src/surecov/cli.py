@@ -45,7 +45,7 @@ from .sim import (
     table2_config,
     TABLE1_VARIANTS,
 )
-from .theory import risk_profile, var_n
+from .theory import risk_profile, var_profile
 
 __all__ = ["main", "read_matrix_csv", "load_config_file"]
 
@@ -224,9 +224,9 @@ def write_estimate(path: str, band: np.ndarray, scheme: WeightScheme, tau: int, 
     values = band[:, :tau] * scheme.weights(tau, tau)
     with _output(path) as fh:
         if fmt == "band":
-            for i in range(p):
-                for d, v in enumerate(values[i, : p - i]):
-                    fh.write(f"{i + 1},{i + d + 1},{_format_float(v)}\n")
+            for i, row in enumerate(values.tolist(), start=1):
+                cells = enumerate(row[: p - i + 1])
+                fh.write("".join(f"{i},{i + d},{_format_float(v)}\n" for d, v in cells))
         else:
             zero = _format_float(0.0)
             for i in range(p):
@@ -411,21 +411,14 @@ def cmd_risk(ns: argparse.Namespace) -> int:
     grid = default_tau_grid(model.p, ns.n, ns.tau_max)
     profile = risk_profile(sigma, ns.n, scheme, c, grid)
 
-    lines = ["tau,risk,var_n" if ns.with_var else "tau,risk"]
-    for t, r in zip(profile.tau_grid, profile.values):
+    var = None
+    if ns.with_var:
+        method = ns.var_method or "exact"
+        var = var_profile(sigma, ns.n, scheme, profile.tau_grid, c, method, ns.truncation_band)
+    lines = ["tau,risk" if var is None else "tau,risk,var_n"]
+    for i, (t, r) in enumerate(zip(profile.tau_grid, profile.values)):
         line = f"{t},{_format_float(r)}"
-        if ns.with_var:
-            approx = var_n(
-                sigma,
-                ns.n,
-                scheme,
-                t,
-                c,
-                method=ns.var_method or "exact",
-                truncation_band=ns.truncation_band,
-            )
-            line += f",{_format_float(approx.value)}"
-        lines.append(line)
+        lines.append(line if var is None else f"{line},{_format_float(var[i])}")
     lines.append(f"# oracle_tau = {profile.oracle_tau}")
     _emit("\n".join(lines) + "\n", ns.out)
     return 0

@@ -167,7 +167,10 @@ def build_sigma(model: CovModel) -> Matrix:
 
 def _toeplitz(vals: NDArray[np.float64], p: int) -> Matrix:
     """The symmetric Toeplitz matrix ``m[i, j] = vals[|i-j|]``, for ``len(vals) >= p``."""
-    return vals[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))]
+    # row i of the reversed windows over vals[p-1], ..., vals[1], vals[0], ..., vals[p-1]
+    # starts at vals[i] and steps down to vals[0] on the diagonal, then back up
+    line = np.concatenate((vals[p - 1 : 0 : -1], vals[:p]))
+    return np.lib.stride_tricks.sliding_window_view(line, p)[::-1].copy()
 
 
 def model_bandwidth(model: CovModel) -> int | None:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -281,24 +282,54 @@ def _set_blas_threads(count: int) -> int:
     return setter(count) if setter else 0
 
 
+class _OneBlasThread:
+    """While any caller is inside, BLAS runs on one thread.
+
+    This holds where the count is process-wide, as in numpy's bundled OpenBLAS
+    0.3.31 (a count set in one thread is the count every other thread reads;
+    ``tests/test_sim.py`` checks the loaded library).  Calls from different
+    threads then share it: the first to enter saves the count it finds, the
+    last to leave restores it.  Where a build keeps the count per thread, the
+    first caller's thread would keep one BLAS thread after it returns.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            previous = _set_blas_threads(1)
+            if self._inside == 0:
+                self._saved = previous
+            self._inside += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0:
+                _set_blas_threads(self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()  # one per process, like the count it guards
+
+
 def _map_ordered(fn, count: int, threads: int) -> list:
     """Apply fn to 0..count-1, returning results in index order.
 
     BLAS runs on one thread meanwhile: the pool is the parallelism, BLAS
     threads under it would oversubscribe the cores, and one BLAS thread at
     every pool size keeps the results bitwise independent of ``threads``.
-    Some OpenBLAS builds keep that count process-wide, so every worker sets it
-    and the caller's count comes back only after the last call.
+    Every worker sets that count too, and the count from before the call comes
+    back only after the last of any concurrent calls (see :class:`_OneBlasThread`).
     """
-    previous = _set_blas_threads(1)
-    try:
+    with _ONE_BLAS_THREAD:
         if threads <= 1 or count <= 1:
             return [fn(i) for i in range(count)]
         workers = min(threads, count)
         with ThreadPoolExecutor(workers, initializer=_set_blas_threads, initargs=(1,)) as ex:
             return list(ex.map(fn, range(count)))
-    finally:
-        _set_blas_threads(previous)
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationRecord:

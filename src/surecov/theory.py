@@ -24,9 +24,9 @@ which is the true Frobenius risk ``E||w o s - Sigma||_F^2``.
 
 Variance
 --------
-``var_n`` evaluates the O(1/n^2)-order approximation to
-``Var(SURE_c(tau))``, a quadruple sum over (i,j,s,t) with coefficient
-matrices
+``var_profile`` evaluates the O(1/n^2)-order approximation to
+``Var(SURE_c(tau))`` over a tau grid (``var_n`` at one tau is its one-point
+grid), a quadruple sum over (i,j,s,t) with coefficient matrices
 
     Abar_ij = abar_ij + a_n bbar_ij,
     Bbar_ij = abar_ij + (a_n + (n-1) b_n) bbar_ij
@@ -47,7 +47,13 @@ reduce to matrix products; the remaining genuinely quartic contraction is an
 O(p^4) loop (capped at p = 64).  For sigma banded at width k, ``Abar =
 alpha0 11^T + T`` with ``alpha0 = Abar(w = 0) = gamma^2 - a_n gamma`` and ``T``,
 like ``Bbar``, Toeplitz and zero from distance tau on, so each product is a
-rank-one part plus banded ones: O(p k^2 (k + tau)) time on band storage.
+rank-one part plus banded ones.  On band storage, whose rows are the
+diagonals, a banded product with a Toeplitz factor is a sum of shifted rows
+with per-tau coefficients.  The tau-independent part (sigma's 2k-1
+diagonals, ``M = sigma o sigma``, ``r = M 1`` and the quartic term's
+per-offset grams) is done once, in O(p k^3) time; then the grid, sorted and
+cut into chunks whose temporaries hold about 2^19 entries (or one tau), costs
+O(|grid| p k (k + tau_max)) time and O(p (k + tau_max)) memory.
 
 Oracles
 -------
@@ -80,6 +86,7 @@ __all__ = [
     "coeffs",
     "risk_profile",
     "var_n",
+    "var_profile",
     "isserlis_moment",
     "exact_sure_variance",
     "VAR_EXACT_CAP",
@@ -185,72 +192,127 @@ def _quartic_contraction_dense(amat: Matrix, s: Matrix) -> float:
     return total
 
 
-# Band storage: a (p, 2h-1) array x holds the entries (i, i+e), |e| < h, of a
-# p x p matrix at x[i, e+h-1], with 0 where i+e falls outside the matrix.
+# Band storage: a (2h-1, p) array x holds the entries (i, i+e), |e| < h, of a
+# p x p matrix at x[e+h-1, i], with 0 where i+e falls outside the matrix.  Its
+# rows are the diagonals, so a product with a Toeplitz factor is a sum of
+# shifted rows.  A leading axis, one block per tau of the grid, stacks them.
 
 
-def _windows(v: NDArray[np.float64], width: int) -> NDArray[np.float64]:
-    # band-storage layout of v: row i holds v[i+e] for |e| <= width // 2, 0 outside
-    return np.lib.stride_tricks.sliding_window_view(np.pad(v, width // 2), width)
+def _shifts(v: NDArray[np.float64], width: int) -> NDArray[np.float64]:
+    # band-storage layout of v along its last axis: [..., a, i] holds
+    # v[..., i + a - width // 2], 0 outside
+    pad = [(0, 0)] * (v.ndim - 1) + [(width // 2, width // 2)]
+    return np.lib.stride_tricks.sliding_window_view(np.pad(v, pad), v.shape[-1], axis=-1)
 
 
-def _toeplitz_band(vals: NDArray[np.float64], p: int) -> NDArray[np.float64]:
-    # symmetric Toeplitz matrix with entries vals[d] for d < len(vals), 0 beyond
-    return _windows(np.ones(p), 2 * len(vals) - 1) * np.concatenate([vals[:0:-1], vals])
+def _symmetric(coef: NDArray[np.float64], h: int) -> NDArray[np.float64]:
+    # per-tau rows of a Toeplitz band: column a holds coef[:, |a - (h-1)|]
+    return np.concatenate([coef[:, h - 1 : 0 : -1], coef[:, :h]], axis=1)
 
 
-def _band_mul(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
-    # band storage of the product: one shifted row block of y per diagonal of x
-    p, wx = x.shape
-    ypad = np.pad(y, ((wx // 2, wx // 2), (0, 0)))
-    out = np.zeros((p, wx + y.shape[1] - 1))
+def _toeplitz_products(coef: NDArray[np.float64], basis) -> NDArray[np.float64]:
+    # band storage, per tau, of a product with one Toeplitz factor whose
+    # diagonals coef holds (see _symmetric): the sum over the columns a of coef
+    # of coef[:, a] times the (w, p) band basis(a), placed from row a on
+    g, wx = coef.shape
+    out = None
     for a in range(wx):
-        out[:, a : a + y.shape[1]] += x[:, a, None] * ypad[a : a + p]
+        term = basis(a)
+        if out is None:
+            out = np.zeros((g, wx + len(term) - 1, term.shape[1]))
+        out[:, a : a + len(term)] += coef[:, a, None, None] * term
     return out
 
 
-def _band_vec(x: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.einsum("ia,ia->i", x, _windows(v, x.shape[1]))
+def _total(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    # per-tau sum of a contiguous array, pairwise along one axis like np.sum of a
+    # 1-d array: a single running total over p entries loses digits
+    return x.reshape(len(x), -1).sum(axis=1)
 
 
-def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, tau: int, band: int):
-    # the sums var_n combines, on band storage (see the module docstring);
-    # sigma is read only inside the band, which is clamped to p
+# entries of one (tau, row, p) temporary for a chunk of the grid; a chunk holds
+# at least one tau, so one tau at any width still fits
+_CHUNK_ENTRIES = 1 << 19
+
+
+def _grid_chunks(taus: tuple[int, ...], p: int, k: int):
+    # the grid's indices by increasing tau, in runs whose temporaries, about
+    # 2 min(tau, p) + 4k rows of p per tau at the run's largest tau, hold at most
+    # _CHUNK_ENTRIES entries
+    run: list[int] = []
+    for i in sorted(range(len(taus)), key=taus.__getitem__):
+        if run and (len(run) + 1) * (2 * min(taus[i], p) + 4 * k) * p > _CHUNK_ENTRIES:
+            yield run
+            run = []
+        run.append(i)
+    yield run
+
+
+def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, taus, band: int):
+    # the sums var_n combines at every tau of the grid, on band storage (see
+    # the module docstring); sigma is read only inside the band, clamped to p.
+    # The tau-independent part is done once, then the grid in chunks, each with
+    # its largest tau as the width of its Toeplitz factors
     p = sigma.shape[0]
     k = min(band, p)
-    ht = min(tau, p)
-    cs = coeffs(n, c, scheme.weights(tau, max(tau, 2 * k - 1) + 1))
-    avec, bvec = cs.Abar, cs.Bbar  # Bbar is exactly 0 where w = 0
-    alpha0 = avec[-1]  # w = 0 from distance tau on
-    cols = np.arange(p)[:, None] + np.arange(1 - k, k)
-    s = np.where((cols >= 0) & (cols < p), sigma[np.arange(p)[:, None], cols % p], 0.0)
-    m = s * s
-    tb = _toeplitz_band(avec[:ht] - alpha0, p)
-    u = _band_vec(_toeplitz_band(bvec[:ht], p), s[:, k - 1])  # u_j = sum_i Bbar_ij s_ii
-    # sum Abar o (M Abar M) = tr(Abar M Abar M) = sum_ij (Abar M)_ij (M Abar)_ij
-    # with Abar M = alpha0 1r' + TM, r = M1: entrywise where TM has its band,
-    # alpha0^2 r_i r_j beyond.  Expanding the square into alpha0^2 (1'r)^2 +
-    # 2 alpha0 r'Tr + tr(TMTM) would cancel wherever Abar is near 0 in the band.
-    r = m.sum(axis=1)
-    tm, mt = _band_mul(tb, m), _band_mul(m, tb)
-    near = (alpha0 * _windows(r, tm.shape[1]) + tm) * (alpha0 * r[:, None] + mt)
-    far = np.cumsum(r[::-1])[::-1][tm.shape[1] // 2 + 1 :]  # r_j summed beyond the band
-    a_mam = np.sum(near) + 2.0 * alpha0**2 * (r[: far.size] @ far)
-    pm = _toeplitz_band(avec[:k], p) * s  # P = Abar o sigma
-    ps, sp = _band_mul(pm, s), _band_mul(s, pm)
-    sps_diag = np.einsum("ia,ia->i", sp[:, k - 1 : 3 * k - 2], s)
-    # quartic sum_ij Abar_ij v_ij' Abar v_ij with v_ij = s_i. o s_j., which lives
-    # on the 2k-1 columns around i and vanishes for |i-j| > 2k-2; by symmetry
-    # in (i, j) each offset e > 0 counts twice
     w = 2 * k - 1
-    ablock = _toeplitz(avec, w)
-    quartic = 0.0
+    alpha0 = float(coeffs(n, c, 0.0).Abar)
+    cols = np.arange(p) + np.arange(1 - k, k)[:, None]
+    s = np.where((cols >= 0) & (cols < p), sigma[np.arange(p), cols % p], 0.0)
+    m = s * s
+    r = m.sum(axis=0)
+    suffix = np.cumsum(r[::-1])[::-1]  # suffix[j] = r_j + ... + r_{p-1}
+    spad = np.pad(s, ((0, 0), (k - 1, k - 1)))
+    # quartic sum_ij Abar_ij v_ij' Abar v_ij with v_ij = s_i. o s_j., which lives
+    # on the 2k-1 columns around i and vanishes for |i-j| > 2k-2: per offset e,
+    # Abar_e <Ablock, G_e> with G_e the gram of the v_ij with j = i + e; by
+    # symmetry in (i, j) each e > 0 counts twice
+    grams = []
     for e in range(min(w, p)):
-        ve = s[: p - e, e:] * s[e:, : w - e]
-        quartic += (1.0 if e == 0 else 2.0) * avec[e] * np.einsum(
-            "ia,ab,ib->", ve, ablock[: w - e, : w - e], ve
-        )
-    return u @ _band_vec(m, u), a_mam, quartic, np.sum(ps * sp), u @ sps_diag
+        ve = s[e:, : p - e] * s[: w - e, e:]
+        grams.append(ve @ ve.T)
+    block = _toeplitz(np.arange(w), w)
+
+    def chunk_terms(chunk):
+        h = min(max(chunk), p)  # T and Bbar vanish from distance tau on
+        cs = coeffs(n, c, np.vstack([scheme.weights(t, max(h, w) + 1) for t in chunk]))
+        # u_j = sum_i Bbar_ij s_ii
+        u = np.einsum("ta,ai->ti", _symmetric(cs.Bbar[:, :h], h), _shifts(s[k - 1], 2 * h - 1))
+        bb = _total(u * np.einsum("ai,tai->ti", m, _shifts(u, w)))
+        # sum Abar o (M Abar M) = tr(Abar M Abar M) = sum_ij (Abar M)_ij (M Abar)_ij
+        # with Abar M = alpha0 1r' + TM, r = M1: entrywise where TM has its band,
+        # alpha0^2 r_i r_j beyond.  Expanding the square into alpha0^2 (1'r)^2 +
+        # 2 alpha0 r'Tr + tr(TMTM) would cancel wherever Abar is near 0 in the band.
+        tcoef = _symmetric(cs.Abar[:, :h] - alpha0, h)
+        mpad = np.pad(m, ((0, 0), (h - 1, h - 1)))
+        tm = _toeplitz_products(tcoef, lambda a: mpad[:, a : a + p])
+        tm += alpha0 * _shifts(r, tm.shape[1])
+        mt = _toeplitz_products(tcoef, lambda a: m)
+        mt += alpha0 * r
+        tm *= mt
+        del mt
+        far = suffix[tm.shape[1] // 2 + 1 :]  # r_j summed beyond the band
+        a_mam = _total(tm) + 2.0 * alpha0**2 * (r[: far.size] @ far)
+        del tm
+        # P = Abar o sigma, so PS and SP sum the products of sigma's band with its
+        # shifted columns or rows, one per distance of P
+        acoef = _symmetric(cs.Abar[:, :k], k)
+        ps = _toeplitz_products(acoef, lambda a: s[a] * spad[:, a : a + p])
+        sp = _toeplitz_products(acoef, lambda a: s * _shifts(s[a], w))
+        ab = _total(u * np.einsum("tai,ai->ti", sp[:, k - 1 : 3 * k - 2], s))  # u' diag(S P S)
+        ps *= sp
+        cross = _total(ps)
+        ablock = cs.Abar[:, block]
+        quartic = np.zeros(len(chunk))
+        for e, gram in enumerate(grams):
+            inner = np.einsum("tab,ab->t", ablock[:, : w - e, : w - e], gram)
+            quartic += (1.0 if e == 0 else 2.0) * cs.Abar[:, e] * inner
+        return bb, a_mam, quartic, cross, ab
+
+    terms = np.empty((5, len(taus)))
+    for chunk in _grid_chunks(taus, p, k):
+        terms[:, chunk] = chunk_terms([taus[i] for i in chunk])
+    return terms
 
 
 def _var_terms_dense(s: Matrix, n: int, c: float, scheme: WeightScheme, tau: int):
@@ -267,6 +329,65 @@ def _var_terms_dense(s: Matrix, n: int, c: float, scheme: WeightScheme, tau: int
     return u @ msq @ u, a_mam, quartic, np.sum(pmat * sps), u @ np.diagonal(sps)
 
 
+def var_profile(
+    sigma: Matrix,
+    n: int,
+    scheme: WeightScheme,
+    tau_grid: Sequence[int],
+    c: float = 2.0,
+    method: str = "exact",
+    truncation_band: int | None = None,
+) -> NDArray[np.float64]:
+    """The four-term variance approximation at every tau of ``tau_grid``.
+
+    ``method="exact"`` performs the full quadruple sum per tau (p capped at
+    ``VAR_EXACT_CAP``).  ``method="banded-truncated"`` treats ``sigma`` as
+    exactly zero outside ``|i-j| < truncation_band`` (a band wider than p
+    keeps all of it); this is lossless when ``sigma`` really is banded with
+    bandwidth <= truncation_band and an approximation otherwise.  It works on
+    band storage: for band k it does the tau-independent part once, in
+    O(p k^3) time, then O(|grid| p k (k + tau_max)) for the whole grid, in
+    chunks of the sorted grid that keep memory at O(p (k + tau_max)).
+    """
+    if n < 4:
+        raise DataError(f"var_n requires n >= 4, got n={n}")
+    sigma = np.asarray(sigma, dtype=np.float64)
+    p = sigma.shape[0]
+    taus = tuple(tau_grid)
+    if not taus:
+        raise ParameterError("tau grid must be nonempty")
+    if method == "exact":
+        if p > VAR_EXACT_CAP:
+            raise ParameterError(
+                f"exact var_n is O(p^4) and capped at p={VAR_EXACT_CAP}; "
+                f"got p={p} -- use method='banded-truncated' with a truncation band"
+            )
+        terms = np.array([_var_terms_dense(sigma, n, c, scheme, t) for t in taus]).T
+    elif method == "banded-truncated":
+        if truncation_band is None or truncation_band < 1:
+            raise ParameterError("banded-truncated var_n needs truncation_band >= 1")
+        terms = _var_terms_banded(sigma, n, c, scheme, taus, int(truncation_band))
+    else:
+        raise ParameterError(f"unknown var_n method {method!r}")
+
+    bb, a_mam, quartic, cross, ab = terms
+    n4 = float(n) ** 4
+    # the four summands, each contracted by symmetry of the coefficient
+    # matrices under (i<->j), (s<->t) relabeling
+    values = (
+        8.0 * (n - 2) / n4 * bb
+        + 2.0 * (n - 1) * (n - 2) / n4 * (2.0 * a_mam + 2.0 * quartic)
+        + 8.0 * (n - 2) ** 3 / n4 * cross
+        + 16.0 * (n - 2) ** 2 / n4 * ab
+    )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(
+            f"var_n at tau={taus[bad[0]]} is not finite: the covariance overflows"
+        )
+    return values
+
+
 def var_n(
     sigma: Matrix,
     n: int,
@@ -276,47 +397,11 @@ def var_n(
     method: str = "exact",
     truncation_band: int | None = None,
 ) -> VarApprox:
-    """Evaluate the four-term variance approximation at one tau.
-
-    ``method="exact"`` performs the full quadruple sum (p capped at
-    ``VAR_EXACT_CAP``).  ``method="banded-truncated"`` treats ``sigma`` as
-    exactly zero outside ``|i-j| < truncation_band`` (a band wider than p
-    keeps all of it) and works on band storage in O(p k^2 (k + tau)) time
-    and O(p (k + tau)) memory; this is lossless when ``sigma`` really is
-    banded with bandwidth <= truncation_band and an approximation otherwise.
-    """
-    if n < 4:
-        raise DataError(f"var_n requires n >= 4, got n={n}")
-    sigma = np.asarray(sigma, dtype=np.float64)
-    p = sigma.shape[0]
-    band = None
-    if method == "exact":
-        if p > VAR_EXACT_CAP:
-            raise ParameterError(
-                f"exact var_n is O(p^4) and capped at p={VAR_EXACT_CAP}; "
-                f"got p={p} -- use method='banded-truncated' with a truncation band"
-            )
-        bb, a_mam, quartic, cross, ab = _var_terms_dense(sigma, n, c, scheme, tau)
-    elif method == "banded-truncated":
-        if truncation_band is None or truncation_band < 1:
-            raise ParameterError("banded-truncated var_n needs truncation_band >= 1")
-        band = int(truncation_band)
-        bb, a_mam, quartic, cross, ab = _var_terms_banded(sigma, n, c, scheme, tau, band)
-    else:
-        raise ParameterError(f"unknown var_n method {method!r}")
-
-    n4 = float(n) ** 4
-    # the four summands, each contracted by symmetry of the coefficient
-    # matrices under (i<->j), (s<->t) relabeling
-    value = float(
-        8.0 * (n - 2) / n4 * bb
-        + 2.0 * (n - 1) * (n - 2) / n4 * (2.0 * a_mam + 2.0 * quartic)
-        + 8.0 * (n - 2) ** 3 / n4 * cross
-        + 16.0 * (n - 2) ** 2 / n4 * ab
-    )
-    if not math.isfinite(value):
-        raise NumericalError(f"var_n at tau={tau} is not finite: the covariance overflows")
-    return VarApprox(tau=int(tau), value=value, method=method, truncation_band=band)
+    """Evaluate the four-term variance approximation at one tau: the one-point
+    grid of :func:`var_profile`, with the same methods and costs."""
+    value = var_profile(sigma, n, scheme, (tau,), c, method, truncation_band)[0]
+    band = int(truncation_band) if method == "banded-truncated" else None
+    return VarApprox(tau=int(tau), value=float(value), method=method, truncation_band=band)
 
 
 def isserlis_moment(sigma_small: Matrix, indices: Sequence[int]) -> float:

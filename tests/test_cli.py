@@ -327,6 +327,23 @@ def test_dense_select_makes_no_p_by_p_array(tmp_path, capsys):
     assert len(first) == p and first[tau_hat:] == ["0.0"] * (p - tau_hat)
 
 
+@pytest.mark.parametrize("method", ["exact", "banded-truncated"])
+def test_overflowing_var_n_exits_4(capsys, method):
+    """At offdiag 1e80 the risk column is finite, but var_n, a sum of fourth
+    powers, is not: one error line naming the first tau, and no table."""
+    argv = ["risk", "--model", "banded-uniform", "--offdiag", "1e80", "--p", "12", "--n", "20",
+            "--tau-max", "4", "--with-var", "--var-method", method, "--truncation-band", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: var_n at tau=1 is not finite: the covariance overflows"
+    ]
+    assert main(argv[:-5]) == 0  # the risk column alone is finite
+
+
 @pytest.mark.parametrize("argv", [
     ["risk", "--model", "banded-uniform", "--offdiag", "1e200", "--p", "6", "--n", "20"],
     ["simulate", "--model", "banded-uniform", "--k0", "1", "--offdiag", "1e155",

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -144,6 +146,94 @@ def test_replications_run_on_one_blas_thread():
     for threads in (1, 3):
         assert _map_ordered(lambda i: setter(1), 6, threads) == [1] * 6
         assert setter(before) == before
+
+
+def test_the_blas_thread_count_is_process_wide():
+    """The shared save and restore of _map_ordered assumes it: a count set in
+    one thread is the count the other threads read."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = setter(2)
+    try:
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(setter(1)))
+        worker.start()
+        worker.join(10)
+        assert seen == [2]
+        assert setter(2) == 1
+    finally:
+        setter(before)
+
+
+def test_concurrent_maps_restore_the_blas_count_after_the_last(monkeypatch):
+    """Two maps in two threads share a process-wide BLAS thread count: it stays
+    1 while either runs, even after the first one ends, and the count from
+    before comes back when the second one ends.  A recording stand-in holds the
+    count, and events fix the order: A enters, B enters, A leaves, B leaves."""
+    count = [4]
+
+    def setter(value):
+        previous, count[0] = count[0], value
+        return previous
+
+    monkeypatch.setattr("surecov.sim._blas_thread_setter", lambda: setter)
+    events = {name: threading.Event() for name in ("a_in", "a_go", "b_in", "b_go")}
+    seen = []
+
+    def body(entered, go):
+        def fn(i):
+            events[entered].set()
+            assert events[go].wait(10)
+            seen.append(count[0])
+            return i
+
+        return fn
+
+    a = threading.Thread(target=_map_ordered, args=(body("a_in", "a_go"), 1, 1))
+    b = threading.Thread(target=_map_ordered, args=(body("b_in", "b_go"), 1, 1))
+    a.start()
+    assert events["a_in"].wait(10)
+    b.start()
+    assert events["b_in"].wait(10)
+    assert count[0] == 1
+    events["a_go"].set()
+    a.join(10)
+    assert not a.is_alive() and count[0] == 1  # B still runs on one thread
+    events["b_go"].set()
+    b.join(10)
+    assert not b.is_alive() and count[0] == 4
+    assert seen == [1, 1]
+
+
+def test_many_concurrent_maps_keep_one_blas_thread(monkeypatch):
+    """More threads than cores, switching often: every call sees one BLAS
+    thread, and the count from before comes back after the last one."""
+    count = [4]
+
+    def setter(value):
+        previous, count[0] = count[0], value
+        return previous
+
+    monkeypatch.setattr("surecov.sim._blas_thread_setter", lambda: setter)
+    seen = []
+
+    def worker():
+        for _ in range(50):
+            seen.extend(_map_ordered(lambda i: count[0], 2, 1))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1] * 800 and count[0] == 4
 
 
 def test_pool_is_capped_at_the_replication_count(monkeypatch):

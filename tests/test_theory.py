@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surecov.errors import DataError, ParameterError
+from surecov.errors import DataError, NumericalError, ParameterError
 from surecov.estimate import Banding, CustomToeplitz, CzzTaper, taper
 from surecov.model import BandedUniform, build_sigma
 from surecov.theory import (
@@ -26,6 +26,7 @@ from surecov.theory import (
     isserlis_moment,
     risk_profile,
     var_n,
+    var_profile,
 )
 
 
@@ -162,15 +163,18 @@ def test_var_n_truncation_lossless_on_banded_sigma():
 
 
 @st.composite
-def _schemes(draw, tau):
+def _schemes(draw, *taus):
     kind = draw(st.sampled_from(["banding", "czz", "custom"]))
     if kind == "banding":
         return Banding()
     if kind == "czz":
         return CzzTaper()
-    size = tau - tau // 2 - 1
-    tail = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
-    return CustomToeplitz({tau: [1.0] * (tau // 2 + 1) + tail})
+    table = {}
+    for tau in taus:
+        size = tau - tau // 2 - 1
+        tail = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        table[tau] = [1.0] * (tau // 2 + 1) + tail
+    return CustomToeplitz(table)
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,6 +209,92 @@ def test_var_n_banded_allocates_no_p_by_p_array():
     assert peak < p * p * 8 / 8
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 6.0))
+def test_var_profile_is_exact_var_n_of_the_truncation_at_every_tau(data, p, seed, c):
+    """One band-storage pass over a whole grid, in any order and with tau > p
+    always on it, gives the dense quadruple sum of the truncated sigma per tau."""
+    band = data.draw(st.integers(1, p + 2), label="band")
+    grid = data.draw(st.lists(st.integers(1, p + 2), min_size=1, max_size=6), label="grid")
+    grid = (*grid, p + 1)
+    scheme = data.draw(_schemes(*set(grid)), label="scheme")
+    root = np.random.default_rng(seed).normal(size=(p, p))
+    sigma = root @ root.T / p + 0.5 * np.eye(p)
+    n = 30
+    values = var_profile(sigma, n, scheme, grid, c, method="banded-truncated", truncation_band=band)
+    truncated = taper(sigma, Banding(), band).matrix
+    assert values.shape == (len(grid),)
+    for tau, value in zip(grid, values):
+        assert value == pytest.approx(var_n(truncated, n, scheme, tau, c).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("method, band", [("exact", None), ("banded-truncated", 3)])
+def test_var_n_is_the_one_point_profile(method, band):
+    sigma = build_sigma(BandedUniform(k0=3, offdiag=0.3, p=40))
+    for tau in (1, 4, 9, 41):
+        approx = var_n(sigma, 50, CzzTaper(), tau, 2.5, method, band)
+        assert approx.value == var_profile(sigma, 50, CzzTaper(), (tau,), 2.5, method, band)[0]
+        assert (approx.tau, approx.method, approx.truncation_band) == (tau, method, band)
+
+
+def test_var_profile_over_a_grid_allocates_no_p_by_p_array():
+    p = 2000
+    sigma = build_sigma(BandedUniform(k0=5, offdiag=0.25, p=p))
+    tracemalloc.start()
+    try:
+        values = var_profile(
+            sigma, 250, CzzTaper(), range(1, 9), 2.0, "banded-truncated", truncation_band=5
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(values > 0.0)
+    assert peak < p * p * 8
+
+
+@pytest.mark.parametrize("entries", [1, 4000])
+def test_var_profile_in_chunks_is_exact_var_n_of_the_truncation(monkeypatch, entries):
+    """The sorted grid cut into chunks, down to one tau each and each with its
+    own width, gives the dense quadruple sum of the truncated sigma per tau."""
+    monkeypatch.setattr("surecov.theory._CHUNK_ENTRIES", entries)
+    p, band, n = 30, 4, 40
+    root = np.random.default_rng(7).normal(size=(p, p))
+    sigma = root @ root.T / p + 0.5 * np.eye(p)
+    grid = (9, 1, 31, 4, 4, 17, 2, 30)
+    values = var_profile(sigma, n, CzzTaper(), grid, 2.5, "banded-truncated", band)
+    truncated = taper(sigma, Banding(), band).matrix
+    for tau, value in zip(grid, values):
+        assert value == pytest.approx(var_n(truncated, n, CzzTaper(), tau, 2.5).value, rel=1e-12)
+
+
+def test_var_profile_over_a_full_grid_needs_the_memory_of_its_largest_tau():
+    """The default grid 1..200 at p=2000 peaks near one var_n at tau=200: the
+    grid goes in chunks, not in one (tau, row, p) array per term."""
+    p = 2000
+    sigma = build_sigma(BandedUniform(k0=5, offdiag=0.25, p=p))
+    peaks = []
+    for grid in ((200,), range(1, 201)):
+        tracemalloc.start()
+        try:
+            values = var_profile(sigma, 250, CzzTaper(), grid, 2.0, "banded-truncated", 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.all(values > 0.0)
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("method", ["exact", "banded-truncated"])
+def test_var_profile_names_the_first_non_finite_tau(method):
+    # sigma^2 is finite, the fourth powers in the variance are not
+    sigma = build_sigma(BandedUniform(k0=2, offdiag=1e80, p=6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"^var_n at tau=3 is not finite"):
+            var_profile(
+                sigma, 20, Banding(), (3, 1, 2), 2.0, method, truncation_band=2
+            )
+
+
 def test_var_n_guards():
     big = np.eye(VAR_EXACT_CAP + 1)
     with pytest.raises(ParameterError):
@@ -215,6 +305,8 @@ def test_var_n_guards():
         var_n(np.eye(4), 50, Banding(), 2, 2.0, method="bogus")
     with pytest.raises(DataError):
         var_n(np.eye(4), 3, Banding(), 2, 2.0)
+    with pytest.raises(ParameterError, match="nonempty"):
+        var_profile(np.eye(4), 50, Banding(), (), 2.0)
     # the truncated path works above the cap
     sigma = build_sigma(BandedUniform(k0=2, offdiag=0.2, p=VAR_EXACT_CAP + 6))
     value = var_n(
