@@ -39,9 +39,10 @@ All sums are read off one layout, ``band[i, d] = s[i, i+d]`` for d < tau_max
 (0 where i + d >= p): ``S1`` and the cross sums ``sum_{|i-j|=d} s_ij sigma_ij``
 are column sums of two bands' product (:func:`_sums`), ``S2`` comes from the
 diagonal ``band[:, 0]``.  :func:`~surecov.estimate._band` reads the band off a
-dense matrix; :func:`~surecov.estimate.band_gram` computes it from the data
-rows, with the total from the smaller gram, in O(n p + p tau_max) memory.
-``surecov select`` takes that path for every output, so it never forms the MLE.
+dense matrix; :func:`~surecov.estimate.band_gram` computes band and total from
+the data rows for ``surecov select`` and every replication.  It forms the MLE
+only where that costs fewer multiply-adds than products of column blocks,
+``p <= n + 2 (256 + tau_max)``, so memory stays O(n p + p tau_max).
 
 ``SURE_c``, the exact risk ``R_c`` and the realised loss over a tau grid are
 products of one :class:`_Grid` weight table with such sums, and
@@ -57,7 +58,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import WeightScheme, _band, frob_sq_dist, taper, unbiased_cov
+from .estimate import WeightScheme, _band, _check_tau, frob_sq_dist, taper, unbiased_cov
 from .model import Matrix
 
 __all__ = [
@@ -112,7 +113,7 @@ def sure_constants(n: int, c: float | str = 2.0) -> SureConstants:
     return SureConstants(n=n, c=c, a_n=a_n, b_n=b_n)
 
 
-def _sums(a: Matrix, b: Matrix, total: float) -> NDArray[np.float64]:
+def _sums(a: Matrix, b: Matrix, total: float | None = None) -> NDArray[np.float64]:
     """``out[d] = sum_{|i-j|=d} a_ij b_ij`` for ``d`` below the band width, from
     the bands (see :func:`~surecov.estimate._band`) of symmetric ``a`` and ``b``
     whose entrywise product sums to ``total``, and the tail bin (see :func:`_fold`)."""
@@ -121,12 +122,12 @@ def _sums(a: Matrix, b: Matrix, total: float) -> NDArray[np.float64]:
     return _fold(out, len(a), total)
 
 
-def _fold(out: NDArray[np.float64], p: int, total: float) -> NDArray[np.float64]:
+def _fold(out: NDArray[np.float64], p: int, total: float | None) -> NDArray[np.float64]:
     """Turn upper-triangle sums ``out[:dmax]`` into sums over both triangles, and
-    set the tail bin ``out[dmax]`` to ``total`` minus them: every d >= dmax."""
+    set the tail bin ``out[dmax]`` to ``total`` (if given) minus them: every d >= dmax."""
     dmax = len(out) - 1
     out[1:dmax] *= 2.0
-    if dmax < p:
+    if dmax < p and total is not None:
         out[dmax] = total - out[:dmax].sum()
     return out
 
@@ -170,12 +171,12 @@ class CriterionProfile:
 
 
 def _check_grid(tau_grid) -> tuple[int, ...]:
-    grid = tuple(int(t) for t in tau_grid)
+    grid = tuple(tau_grid)
     if not grid:
         raise ParameterError("tau grid must be nonempty")
-    if any(t < 1 for t in grid):
-        raise ParameterError(f"every tau must be >= 1, got {grid}")
-    return grid
+    for t in grid:
+        _check_tau(t)
+    return tuple(int(t) for t in grid)
 
 
 def default_tau_grid(p: int, n: int, tau_max: int | None = None) -> tuple[int, ...]:

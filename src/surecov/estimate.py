@@ -46,14 +46,6 @@ class _Scheme:
         """Weights ``w(tau, d)`` for ``d = 0 .. dmax-1``."""
         raise NotImplementedError
 
-    def weight(self, tau: int, d: int) -> float:
-        if d < 0:
-            raise ParameterError(f"distance d must be >= 0, got {d}")
-        _check_tau(tau)
-        if d >= tau:
-            return 0.0
-        return float(self.weights(tau, d + 1)[d])
-
 
 @dataclass(frozen=True)
 class Banding(_Scheme):
@@ -196,15 +188,21 @@ def _band(m: Matrix, dmax: int) -> Matrix:
 
 
 def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
-    """The band of ``s = mle_cov(data)`` and ``||s||_F^2``, without forming ``s``.
+    """The band of ``s = mle_cov(data)`` and ``||s||_F^2``.
 
     ``band[i, d] = s[i, i + d]`` for ``d < dmax``, and 0 where ``i + d >= p``.
-    Each block of ``_BLOCK`` centred columns takes one product with the block
-    and the ``dmax - 1`` columns after it.  When ``dmax >= p`` the band holds
-    all of ``s`` and gives the total; otherwise it comes from the smaller gram,
-    ``||s||_F^2 = ||X_c X_c^T||_F^2 / n^2 = ||X_c^T X_c||_F^2 / n^2``.  That is
-    O(n p (_BLOCK + dmax + min(n, p))) flops and O(n p + p dmax) memory.
+    The shape picks the branch with fewer multiply-adds.  The dense one forms
+    ``s`` by :func:`mle_cov` (n p^2 / 2) and reads it with :func:`_band`; it
+    runs only where ``p <= n + 2 (_BLOCK + dmax)``, so ``s`` is never larger
+    than the data, twice the band and ``2 _BLOCK`` floats per coordinate.  The
+    blocked one multiplies each block of ``_BLOCK`` centred columns with the
+    block and the ``dmax - 1`` columns after it, and takes the total from the
+    n x n gram, ``||s||_F^2 = ||X_c X_c^T||_F^2 / n^2``: n p (_BLOCK + dmax)
+    + n^2 p / 2.  Either way memory is O(n p + p dmax).
     """
+    if data.p <= data.n + 2 * (_BLOCK + dmax):
+        s = mle_cov(data)
+        return _band(s, dmax), float(np.einsum("ij,ij->", s, s))
     centered = _centered(data)
     n, p = centered.shape
     band = np.empty((p, dmax))
@@ -214,10 +212,7 @@ def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
         # past column p, zero columns keep the skewed view in bounds
         block = np.pad(block, ((0, 0), (0, b1 + dmax - 1 - b0 - block.shape[1])))
         band[b0:b1] = _skew(block, b1 - b0, dmax)
-    if dmax >= p:
-        sq = np.einsum("id,id->d", band, band)
-        return band, float(2.0 * sq.sum() - sq[0])
-    gram = centered @ centered.T if n < p else centered.T @ centered
+    gram = centered @ centered.T
     return band, float(np.einsum("ij,ij->", gram, gram)) / n**2
 
 

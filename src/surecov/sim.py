@@ -27,6 +27,7 @@ from numpy.typing import NDArray
 
 from .criterion import (
     _band_sums,
+    _check_grid,
     _Grid,
     _smallest_argmin,
     _sums,
@@ -35,7 +36,7 @@ from .criterion import (
     sure_constants,
 )
 from .errors import DataError, ParameterError
-from .estimate import Banding, WeightScheme, _band, mle_cov
+from .estimate import Banding, WeightScheme, _band, band_gram
 from .model import (
     ArDecay,
     BandedUniform,
@@ -218,18 +219,19 @@ class _ExperimentContext:
         self.w_sq = self.grid.w**2
 
     def sums(self, rep_index: int):
-        """``(seed, s_tilde, band, s1, s2)`` of one replication: its seed, the
-        MLE of its draw, the MLE's band to the grid's ``dmax``, and its band sums."""
+        """``(seed, band, s1, s2)`` of one replication: its seed, the band of its
+        draw's MLE to the grid's ``dmax`` by ``band_gram``, and its band sums."""
         cfg = self.config
         seed = derive_seed(cfg.base_seed, rep_index)
-        s_tilde = mle_cov(Dataset(rows=_draw_rows(self.chol, cfg.n, seed)))
-        band = _band(s_tilde, self.grid.dmax)
-        s1, s2 = _band_sums(band, np.einsum("ij,ij->", s_tilde, s_tilde))
-        return seed, s_tilde, band, s1, s2
+        rows = _draw_rows(self.chol, cfg.n, seed)
+        band, frob_sq = band_gram(Dataset(rows=rows), self.grid.dmax)
+        s1, s2 = _band_sums(band, frob_sq)
+        return seed, band, s1, s2
 
     def replicate(self, rep_index: int) -> ReplicationRecord:
-        seed, s_tilde, band, s1, s2 = self.sums(rep_index)
-        cross = _sums(band, self.sigma_band, np.einsum("ij,ij->", s_tilde, self.sigma))
+        seed, band, s1, s2 = self.sums(rep_index)
+        # no total: the tail bin it would fill has weight 0 at every tau
+        cross = _sums(band, self.sigma_band)
         # loss(tau) = sum_d w^2 S1(d) - 2 w X(d) + T(d), all per-distance sums
         loss_curve = self.w_sq @ s1 - 2.0 * (self.grid.w @ cross) + self.sig_sq
 
@@ -350,6 +352,11 @@ def _mean_se(values: NDArray[np.float64]) -> tuple[float, float | None]:
     return m, sd / math.sqrt(values.size)
 
 
+def _meta(t0: float, threads: int) -> dict:
+    """A report's ``meta``, never in ``payload_bytes``: time since ``t0``, pool size."""
+    return {"wall_time_s": time.perf_counter() - t0, "threads": threads}
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications and aggregate (independent of scheduling order).
 
@@ -386,8 +393,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "tau": oracle.oracle_tau,
         "min_risk": oracle.min_value(),
     }
-    meta = {"wall_time_s": time.perf_counter() - t0, "threads": threads}
-    return ExperimentReport(config=config.echo(), results=results, meta=meta)
+    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, threads))
 
 
 def _single_c(config: ExperimentConfig) -> tuple[str, float]:
@@ -409,7 +415,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ParameterError("clt experiment requires tau_fixed")
     if config.replications < 2:
         raise DataError("clt experiment needs >= 2 replications (KS undefined)")
-    tau = int(config.tau_fixed)
+    (tau,) = _check_grid((config.tau_fixed,))
     ckey, c = _single_c(config)
     p = config.p
 
@@ -433,7 +439,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     consts = ctx.consts[ckey]
 
     def one(rep_index: int) -> float:
-        _, _, _, s1, s2 = ctx.sums(rep_index)
+        _, _, s1, s2 = ctx.sums(rep_index)
         return (float(ctx.grid.sure(s1, s2, consts)[0]) - float(risk)) / scale
 
     threads = resolve_threads(config.threads)
@@ -450,8 +456,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         "standardized_var": float(np.var(sample, ddof=1)),
         "ks_distance": ks_statistic(sample),
     }
-    meta = {"wall_time_s": time.perf_counter() - t0, "threads": threads}
-    return ExperimentReport(config=config.echo(), results=results, meta=meta)
+    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, threads))
 
 
 def fit_loglog_slope(ns: NDArray[np.float64], losses: NDArray[np.float64]) -> float:
@@ -510,8 +515,7 @@ def rate_experiment(
         "base_seed": base_seed,
         "kind": "rate",
     }
-    meta = {"wall_time_s": time.perf_counter() - t0, "threads": used_threads}
-    return ExperimentReport(config=config_echo, results=results, meta=meta)
+    return ExperimentReport(config=config_echo, results=results, meta=_meta(t0, used_threads))
 
 
 def oracle_ratio_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -530,7 +534,7 @@ def oracle_ratio_experiment(config: ExperimentConfig) -> ExperimentReport:
         "ratio": ratio,
         "ratio_half_width": (1.96 * se / oracle["min_risk"]) if se is not None else None,
     }
-    meta = {"wall_time_s": time.perf_counter() - t0, "threads": report.meta["threads"]}
+    meta = _meta(t0, report.meta["threads"])
     return ExperimentReport(config=config.echo(), results=results, meta=meta)
 
 
@@ -568,8 +572,7 @@ def consistency_experiment(config: ExperimentConfig, n_list: list[int] | None = 
             }
         )
     results = {"k0": k0, "per_n": per_n}
-    meta = {"wall_time_s": time.perf_counter() - t0, "threads": used_threads}
-    return ExperimentReport(config=config.echo(), results=results, meta=meta)
+    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, used_threads))
 
 
 # --- presets -------------------------------------------------------------

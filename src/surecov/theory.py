@@ -74,7 +74,9 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .criterion import _band_sums, _Grid, _smallest_argmin, default_tau_grid, sure_constants
+from .criterion import (
+    _band_sums, _check_grid, _Grid, _smallest_argmin, default_tau_grid, sure_constants
+)
 from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, _band
 from .model import Matrix, _toeplitz
@@ -353,9 +355,7 @@ def var_profile(
         raise DataError(f"var_n requires n >= 4, got n={n}")
     sigma = np.asarray(sigma, dtype=np.float64)
     p = sigma.shape[0]
-    taus = tuple(tau_grid)
-    if not taus:
-        raise ParameterError("tau grid must be nonempty")
+    taus = _check_grid(tau_grid)
     if method == "exact":
         if p > VAR_EXACT_CAP:
             raise ParameterError(

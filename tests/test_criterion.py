@@ -8,12 +8,15 @@ the implementation existed:
 """
 
 import math
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surecov import estimate
 from surecov.criterion import (
     CriterionProfile,
     _smallest_argmin,
@@ -29,7 +32,9 @@ from surecov.criterion import (
 )
 from surecov.errors import DataError, NumericalError, ParameterError
 from surecov.estimate import Banding, CzzTaper, _band, band_gram, mle_cov
-from surecov.model import ArDecay, Dataset, build_sigma, sample_dataset
+from surecov.model import ArDecay, BandedUniform, Dataset, build_sigma, sample_dataset
+from surecov.sim import ExperimentConfig, clt_experiment
+from surecov.theory import risk_profile, var_n, var_profile
 
 
 def test_constants_frozen_values():
@@ -163,11 +168,13 @@ def test_dual_formula_identity(seed, n, p, tau, c_extra, czz):
     tau_extra=st.integers(0, 302),
     c_extra=st.floats(0.0, 3.0),
     czz=st.booleans(),
+    block=st.integers(1, 8),
 )
-def test_row_path_matches_dense_profile(seed, n, p, tau_extra, c_extra, czz):
+def test_row_path_matches_dense_profile(seed, n, p, tau_extra, c_extra, czz, block):
     """The profile from the rows' band gram is the profile of the formed MLE:
     values to 1e-12 ||S||_F^2, the same tau-hat unless the two lowest values
-    tie to that bound, and band entries to 1e-14 max|s|."""
+    tie to that bound, and band entries to 1e-14 max|s|.  A small ``_BLOCK``
+    sends wide data down the blocked branch."""
     tau_max = 1 + tau_extra % (p + 2)
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p) + 5.0 * rng.normal(size=p)
@@ -177,7 +184,8 @@ def test_row_path_matches_dense_profile(seed, n, p, tau_extra, c_extra, czz):
     grid = tuple(range(1, tau_max + 1))
 
     s = mle_cov(data)
-    band, frob_sq = band_gram(data, tau_max)
+    with mock.patch.object(estimate, "_BLOCK", block):
+        band, frob_sq = band_gram(data, tau_max)
     assert band.shape == (p, tau_max)
     assert frob_sq == pytest.approx(np.einsum("ij,ij->", s, s), rel=1e-12)
     for d in range(tau_max):
@@ -273,6 +281,55 @@ def test_grid_validation():
         sure_profile(np.eye(3), consts, Banding(), (0, 1))
     with pytest.raises(DataError):
         sure_profile(np.eye(3), sure_constants(3, 2.0), Banding(), (1,))
+
+
+@lru_cache(maxsize=1)
+def _grid_entry_points():
+    """Every entry point that takes a tau grid, or one tau, as grid -> values."""
+    model = BandedUniform(k0=2, offdiag=0.3, p=6)
+    sigma = build_sigma(model)
+    data = sample_dataset(sigma, 12, seed=1)
+    s = mle_cov(data)
+    band, frob_sq = band_gram(data, 6)
+    s1, s2 = band_sums(s)
+    k = sure_constants(12, 2.0)
+
+    def clt(tau):
+        cfg = ExperimentConfig(model=model, n=12, replications=2, kind="clt", tau_fixed=tau)
+        return clt_experiment(cfg).results["standardized_mean"]
+
+    return {
+        "sure_profile": lambda g: sure_profile(s, k, Banding(), g).values,
+        "sure_profile_from_band": lambda g: sure_profile_from_band(band, frob_sq, k, Banding(), g).values,
+        "profile_values": lambda g: profile_values(s1, s2, k, Banding(), g),
+        "risk_profile": lambda g: risk_profile(sigma, 12, Banding(), 2.0, g).values,
+        "var_profile": lambda g: var_profile(sigma, 12, Banding(), g),
+        "var_n": lambda g: [var_n(sigma, 12, Banding(), t).value for t in g],
+        "clt tau_fixed": lambda g: [clt(t) for t in g],
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bad=st.one_of(
+        st.floats(allow_nan=True),
+        st.floats(-3.0, 40.0).map(np.float64),
+        st.integers(-3, 0),
+        st.integers(-3, 0).map(np.int64),
+    ),
+    good=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    at=st.integers(0, 3),
+)
+def test_every_grid_entry_point_takes_positive_integer_taus(bad, good, at):
+    """A tau that is not a positive integer, anywhere in a grid, raises
+    ParameterError; numpy integers count as integers."""
+    grid = list(good)
+    grid.insert(at % (len(grid) + 1), bad)
+    for name, call in _grid_entry_points().items():
+        with pytest.raises(ParameterError, match="tau must be a positive integer"):
+            call(grid)
+        expected = call(good)
+        assert np.array_equal(call([np.int64(t) for t in good]), expected), name
 
 
 def test_logn_penalty_never_selects_larger_tau():

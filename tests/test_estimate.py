@@ -1,17 +1,20 @@
 """Weight schemes and tapered covariance estimates."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surecov import estimate
 from surecov.errors import DataError, ParameterError
 from surecov.estimate import (
     Banding,
     CustomToeplitz,
     CzzTaper,
+    _band,
     band_gram,
     frob_sq_dist,
     mle_cov,
@@ -24,8 +27,8 @@ from surecov.model import Dataset
 def test_banding_weights_are_indicators():
     w = Banding().weights(3, 6)
     assert list(w) == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
-    assert Banding().weight(3, 2) == 1.0
-    assert Banding().weight(3, 3) == 0.0
+    assert Banding().weights(3, 3)[2] == 1.0
+    assert Banding().weights(3, 4)[3] == 0.0
 
 
 @given(tau=st.integers(1, 60), d=st.integers(0, 80))
@@ -33,7 +36,7 @@ def test_taper_weight_conditions(tau, d):
     """Any scheme must satisfy: w=1 up to floor(tau/2), w=0 from tau on,
     and w in [0,1] in between."""
     for scheme in (Banding(), CzzTaper()):
-        w = scheme.weight(tau, d)
+        w = scheme.weights(tau, d + 1)[d]
         if d <= tau // 2:
             assert w == 1.0
         elif d >= tau:
@@ -173,7 +176,7 @@ def test_taper_matches_dense_definition(scheme):
         assert taper(sigma, scheme, tau).matrix.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("dmax", [2, 5])  # the total from a gram, then from the band
+@pytest.mark.parametrize("dmax", [2, 5])  # dmax < p and dmax = p, both on the dense branch
 def test_band_gram_on_tall_data_makes_no_n_by_n_array(dmax):
     n, p = 20_000, 5
     data = Dataset(rows=np.random.default_rng(3).normal(size=(n, p)))
@@ -187,3 +190,48 @@ def test_band_gram_on_tall_data_makes_no_n_by_n_array(dmax):
     s = mle_cov(data)
     assert np.allclose(band[:, 0], np.diagonal(s), rtol=1e-13, atol=0)
     assert frob_sq == pytest.approx(np.einsum("ij,ij->", s, s), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(3, 12),
+    dmax=st.integers(1, 12),
+    block=st.integers(1, 8),
+    extra=st.integers(0, 30),
+    blocked=st.booleans(),
+)
+def test_band_gram_is_the_band_of_the_mle(seed, n, dmax, block, extra, blocked):
+    """On either branch, the band of ``mle_cov`` to 1e-14 max|s| and its total
+    to 1e-12 relative; a small ``_BLOCK`` sends small p down the blocked one."""
+    edge = n + 2 * (block + dmax)  # the widest data on the dense branch
+    p = edge + 1 + extra if blocked else max(1, edge - extra)
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p) + 5.0 * rng.normal(size=p)
+    data = Dataset(rows=rows)
+    s = mle_cov(data)
+    with (
+        mock.patch.object(estimate, "_BLOCK", block),
+        mock.patch.object(estimate, "mle_cov", wraps=mle_cov) as dense,
+    ):
+        band, frob_sq = band_gram(data, dmax)
+    assert dense.called is not blocked
+    assert band.shape == (p, dmax)
+    assert np.abs(band - _band(s, dmax)).max() <= 1e-14 * np.abs(s).max()
+    assert frob_sq == pytest.approx(np.einsum("ij,ij->", s, s), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, p, dmax, blocked",
+    [
+        (250, 500, 250, False),  # W1 (table1), and table2 at p=500
+        (250, 1000, 250, False),  # table2 at p=1000
+        (100, 2000, 100, True),  # acceptance gate 12
+        (100, 5000, 100, True),  # the select-wide benchmark
+        (100, 20_000, 100, True),  # W4
+    ],
+)
+def test_band_gram_branch_at_benchmark_sizes(n, p, dmax, blocked):
+    with mock.patch.object(estimate, "mle_cov", wraps=mle_cov) as dense:
+        band_gram(Dataset(rows=np.zeros((n, p))), dmax)
+    assert dense.called is not blocked

@@ -4,10 +4,12 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from surecov.criterion import sure_constants, sure_profile
 from surecov.errors import DataError, ParameterError
 from surecov.estimate import Banding, frob_sq_dist, mle_cov, taper
 from surecov.model import (
@@ -20,6 +22,7 @@ from surecov.model import (
 )
 from surecov.sim import (
     ExperimentConfig,
+    _ExperimentContext,
     _blas_thread_setter,
     _map_ordered,
     clt_experiment,
@@ -35,7 +38,7 @@ from surecov.sim import (
     table1_config,
     table2_config,
 )
-from surecov.theory import VAR_EXACT_CAP
+from surecov.theory import VAR_EXACT_CAP, risk_profile, var_n
 
 
 def test_derive_seed_stable_and_distinct():
@@ -350,6 +353,43 @@ def test_clt_banded_truncated_above_the_exact_cap():
     assert res["var_method"] == "banded-truncated"
     assert math.isfinite(res["var_n"]) and res["var_n"] > 0.0
     assert math.isfinite(res["standardized_mean"])
+
+
+def test_wide_replication_makes_no_p_by_p_array():
+    """At p >> n a replication reads its band from the rows: the context's
+    Sigma and Cholesky factor are the only p x p arrays."""
+    p = 4000
+    ctx = _ExperimentContext(ExperimentConfig(model=ArDecay(rho=0.5, p=p), n=30, replications=1))
+    tracemalloc.start()
+    try:
+        record = ctx.replicate(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * p * 8 / 4  # a quarter of one p x p float64 array
+    assert math.isfinite(record.loss["2"])
+
+
+def test_wide_clt_matches_the_formed_mle():
+    """At p >> n the clt statistic, from the rows' band, is the statistic of
+    the formed MLE to 1e-12."""
+    cfg = ExperimentConfig(
+        model=BandedUniform(k0=3, offdiag=0.25, p=800), n=20, c_values=(2.0,),
+        replications=6, base_seed=8, kind="clt", tau_fixed=3,
+    )
+    res = clt_experiment(cfg).results
+    assert res["var_method"] == "banded-truncated"
+    sigma = build_sigma(cfg.model)
+    risk = risk_profile(sigma, cfg.n, Banding(), 2.0, (3,)).values[0]
+    scale = math.sqrt(var_n(sigma, cfg.n, Banding(), 3, 2.0, "banded-truncated", 3).value)
+    consts = sure_constants(cfg.n, 2.0)
+    sample = []
+    for r in range(cfg.replications):
+        s = mle_cov(sample_dataset(sigma, cfg.n, derive_seed(cfg.base_seed, r)))
+        sample.append((sure_profile(s, consts, Banding(), (3,)).values[0] - risk) / scale)
+    assert res["standardized_mean"] == pytest.approx(np.mean(sample), rel=1e-12)
+    assert res["standardized_var"] == pytest.approx(np.var(sample, ddof=1), rel=1e-12)
+    assert res["ks_distance"] == pytest.approx(ks_statistic(np.array(sample)), rel=1e-12)
 
 
 def test_consistency_requires_banded_model():

@@ -105,7 +105,7 @@ def _var_n_brute_force(sigma, n, scheme, tau, c):
     bmat = np.empty((p, p))
     for i in range(p):
         for j in range(p):
-            cs = coeffs(n, c, scheme.weight(tau, abs(i - j)))
+            cs = coeffs(n, c, scheme.weights(tau, abs(i - j) + 1)[abs(i - j)])
             amat[i, j] = cs.Abar
             bmat[i, j] = cs.Bbar
     total = 0.0
