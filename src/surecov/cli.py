@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,12 +136,15 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
     A single leading header row is auto-detected (any non-numeric cell in the
     first row).  Every later row must be numeric, finite and of equal width;
-    violations are reported with their 1-based line and column.  The file is
-    read one record at a time, and each row is kept as a float64 array.
+    violations are reported with their 1-based line and column.  numpy's C
+    parser reads a plain file (``_read_plain_csv``, same bits); any other file
+    goes to the checked parser, one record at a time, which words every error.
     """
     p = Path(path)
     if not p.is_file():
         raise DataError(f"data file not found: {path}")
+    if (data := _read_plain_csv(p)) is not None:
+        return data
     rows: list[np.ndarray] = []
     width: int | None = None
     try:
@@ -182,6 +186,50 @@ def read_matrix_csv(path: str) -> np.ndarray:
     if len(rows) < 4:
         raise DataError(f"{path}: need at least 4 observation rows, got {len(rows)}")
     return np.array(rows, dtype=np.float64)
+
+
+def _read_plain_csv(p: Path) -> np.ndarray | None:
+    """``np.loadtxt``'s array where it is the checked parser's to the bit, else None."""
+    limit = csv.field_size_limit()
+    try:
+        with p.open(encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+            line = fh.readline()
+            cells = line.rstrip("\r\n").split(",")
+            if '"' in line or max(map(len, cells)) > limit:
+                return None
+            if not _plain_rows(p, len(line.encode()), limit):
+                return None
+            with contextlib.suppress(ValueError):  # a header or blank line stays consumed
+                [float(cell) for cell in cells]
+                fh.seek(0)
+            warnings.simplefilter("error")
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, Warning):  # the checked parser words each of these
+        return None
+    ok = data.shape[1] == len(cells) and len(data) >= 4 and np.isfinite(data).all()
+    return data if ok else None
+
+
+def _plain_rows(p: Path, start: int, limit: int) -> bool:
+    """Whether the bytes from ``start`` on suit numpy's parser: no quote (csv's
+    rules), no 0x1c-0x1f (numpy strips them, ``float`` rejects them), no ``_``,
+    non-ASCII byte or empty last cell (``1_000``, Arabic-Indic digits and blank
+    ``,,`` records pass the checked parser, and numpy would fail late, after most
+    of its parse), and a separator in each aligned block, so that no field passes
+    csv's size limit.
+    """
+    block = min(limit // 2 + 1, 1 << 16)  # a field over the limit fills a block
+    with p.open("rb") as fh:
+        fh.seek(start)
+        while chunk := fh.read(block):
+            if not chunk.isascii() or any(b in chunk for b in b'"_\x1c\x1d\x1e\x1f'):
+                return False
+            if not any(b in chunk for b in b",\n\r"):
+                return False
+            buf = np.frombuffer(chunk, np.uint8)
+            if (buf[:-1][(buf[1:] == 10) | (buf[1:] == 13)] == 44).any():
+                return False
+    return True
 
 
 def _not_utf8(path: str, raw: bytes) -> DataError:

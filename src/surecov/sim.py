@@ -10,10 +10,12 @@ counts) from a ``meta`` section holding wall time and runtime facts.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import json
 import math
+import operator
 import os
 import struct
 import threading
@@ -122,6 +124,16 @@ class ExperimentConfig:
     threads: int = 0  # 0 = SURECOV_THREADS env, else 1
 
     def __post_init__(self) -> None:
+        ints = ["n", "replications", "base_seed", "threads"]
+        ints += [name for name in ("tau_max", "truncation_band") if getattr(self, name) is not None]
+        for name in ints:
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+        with contextlib.suppress(TypeError):  # clt_experiment words a bad tau like any other
+            object.__setattr__(self, "tau_fixed", operator.index(self.tau_fixed))
         if self.replications < 1:
             raise ParameterError(f"replications must be >= 1, got {self.replications}")
         if self.n < 4:

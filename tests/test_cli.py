@@ -1,18 +1,26 @@
 """End-to-end CLI behavior: parsing, files, exit codes, round-trips."""
 
+import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+import surecov
 from surecov.cli import (
     COMMANDS,
+    _read_plain_csv,
     build_parser,
     load_config_file,
     main,
@@ -86,6 +94,209 @@ def test_non_utf8_data_is_a_data_error(tmp_path, capsys):
     assert main(["select", "--data", str(path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {path}:5: not UTF-8 text (byte 0xe9)"]
+
+
+def _read_outcome(path):
+    """``read_matrix_csv``'s array, or its ``DataError`` message."""
+    try:
+        return read_matrix_csv(str(path))
+    except DataError as exc:
+        return str(exc)
+
+
+def _fail(*args, **kwargs):
+    raise ValueError("np.loadtxt disabled")
+
+
+def _checked_outcome(path):
+    """The outcome with numpy's parser failing, so the checked parser reads the file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _fail)
+        return _read_outcome(path)
+
+
+# cells on which ``float`` and numpy's parser might part: non-ASCII digits and
+# spaces, underscores, quotes, NUL, the bytes 0x1c-0x1f (spaces to numpy only),
+# a '#', and values that overflow or are not finite
+_EDGE_CELLS = [
+    "1_000", "١٢", "١.٥", "０.５", "0x10", '"1"', "1d5", "", "1.5\x00", "\xa01", " 1.5",
+    "1.5\t", "+.5", "1e500", "nan", "inf", "-0.0", "1\x1c", "\x1f2", "1.5#3", '"1,5"', "  ",
+]
+_PLAIN_CELLS = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-99, 99).map(str))
+_HEADERS = [None, "names", "quoted-comma", "hash", "bom", "underscore-non-ascii"]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fast_csv_path_gives_the_checked_parsers_bits_or_error(tmp_path, data):
+    width = data.draw(st.integers(1, 3), label="width")
+    rows = data.draw(st.lists(st.lists(_PLAIN_CELLS, min_size=width, max_size=width),
+                              min_size=3, max_size=7), label="rows")
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]), label="edge cells")):
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row[data.draw(st.integers(0, width - 1))] = data.draw(st.sampled_from(_EDGE_CELLS))
+    if data.draw(st.integers(0, 3), label="ragged") == 0:
+        rows[-1] = rows[-1] + ["1"] if data.draw(st.booleans()) else rows[-1][:-1]
+    lines = [",".join(row) for row in rows]
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]), label="blank lines")):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", "  ", ",,", "\t", ","])))
+    header = data.draw(st.sampled_from(_HEADERS), label="header")
+    names = [f"x{j}" for j in range(width)]
+    if header == "quoted-comma":  # one field for two names: the width error must fire
+        names = ['"a,b"'] + names[2:]
+    elif header == "hash":
+        names[0] = "x#0"
+    elif header == "bom":
+        names[0] = "\ufeff" + names[0]
+    elif header == "underscore-non-ascii":  # bytes the scan of later lines refuses
+        names[0] = "\u03b1_0"
+    if header is not None:
+        lines.insert(0, ",".join(names))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)), label="line ends")
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if data.draw(st.booleans(), label="no final line end"):
+        text = text.rstrip("\r\n")
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    expected = _checked_outcome(path)
+    fast = _read_plain_csv(path)
+    event("numpy parser" if fast is not None else "checked parser")
+    if fast is not None:
+        assert isinstance(expected, np.ndarray)
+    _assert_same_outcome(_read_outcome(path), expected)
+
+
+def _assert_same_outcome(got, expected):
+    """Equal messages, or float64 arrays equal to the bit."""
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("header", ["", "a,b,c\n", "x_1,\u00e9,c\n"])
+@pytest.mark.parametrize("row", [0, 4])
+@pytest.mark.parametrize("cell", _EDGE_CELLS)
+def test_each_edge_cell_gives_the_checked_parsers_outcome(tmp_path, cell, row, header):
+    rows = [["1.5", "-2", "3e-3"] for _ in range(5)]
+    rows[row][1] = cell
+    path = tmp_path / "edge.csv"
+    path.write_bytes((header + "".join(",".join(r) + "\n" for r in rows)).encode("utf-8"))
+    _assert_same_outcome(_read_outcome(path), _checked_outcome(path))
+
+
+@pytest.mark.parametrize("line", [1, 2])
+@pytest.mark.parametrize("pad", [-1, 0, 1])
+@pytest.mark.parametrize("limit", [10, None, sys.maxsize])
+def test_csv_field_size_limit_holds_on_both_paths(tmp_path, limit, pad, line):
+    # a padded cell one short of, at and one over the limit (sys.maxsize: 200 000),
+    # in the header or in the first data row
+    default = csv.field_size_limit()
+    limit = limit or default
+    size = min(limit, 200_000) + pad
+    lines = ["a,b\n", "1,2\n"] + ["3,4\n"] * 4
+    lines[line - 1] = " " * (size - 1) + lines[line - 1]
+    path = tmp_path / "long.csv"
+    path.write_text("".join(lines))
+    csv.field_size_limit(limit)
+    try:
+        expected, got = _checked_outcome(path), _read_outcome(path)
+    finally:
+        csv.field_size_limit(default)
+    _assert_same_outcome(got, expected)
+    if size > limit:
+        assert got == f"{path}:{line}: field larger than field limit ({limit})"
+
+
+def test_lines_longer_than_the_field_size_limit_are_read_by_numpy(tmp_path):
+    rows = np.random.default_rng(3).normal(size=(4, 8000))
+    path = tmp_path / "wide.csv"
+    _write_csv(path, rows)
+    assert path.stat().st_size > 4 * csv.field_size_limit()
+    data = _read_plain_csv(path)
+    assert data is not None and data.tobytes() == _checked_outcome(path).tobytes()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("header", [None, "a,b", "x_1,\u00e9"])
+def test_plain_csv_is_read_by_numpy(tmp_path, end, header):
+    rows = ["1.5,-2", "3e-3,4", " 5 ,6\t", "7,-0.0"]
+    path = tmp_path / "plain.csv"
+    path.write_text(end.join(([header] if header else []) + rows) + end, newline="")
+    data = _read_plain_csv(path)
+    assert data is not None and data.tobytes() == _checked_outcome(path).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "\n1,2\n3,4\n5,6\n7,8\n",            # blank first line: its width is 1
+    '"a",b\n1,2\n3,4\n5,6\n7,8\n',       # a quote anywhere
+    'a,b\n1,2\n3,4\n5,6\n7,"8"\n',
+    "a,b\n1,2\n3,4\n5,6\n7,8\x1c\n",     # a byte numpy strips and float() rejects
+    "a,b\n1,2\n3,4\n5,6\n",              # fewer than 4 rows
+    "a,b,c\n1,2\n3,4\n5,6\n7,8\n",       # the header's width differs
+    "a,b\n",                             # header only: loadtxt warns
+    "a,b\n1,2\n3,4\n5,6\n7,inf\n",       # not finite
+    "a,b\n1,2\n3,4\n5,6\n7,1_0\n",       # float() reads 1_0, numpy does not
+    "a,b\n1,2\n3,4\n5,6\n7,8\n,\r\n",     # a blank record
+    "a,b\n1,2\n3,4\n5,6\n7,8#9\n",       # a '#' is not a comment
+    "caf\xe9,b\n1,2\n3,4\n5,6\n7,8\n",    # not UTF-8 (written as latin-1)
+])
+def test_unplain_csv_is_left_to_the_checked_parser(tmp_path, text):
+    path = tmp_path / "other.csv"
+    path.write_bytes(text.encode("latin-1"))
+    assert _read_plain_csv(path) is None
+
+
+def _unexpected(*args, **kwargs):
+    raise AssertionError("np.loadtxt ran")
+
+
+@pytest.mark.parametrize("last", [
+    '7,"8"', "7,1_0", "7,\u0661\u0662", "7,\xa08", "7,8\x1f", ",", "7,", "7,8,\r",
+])
+def test_late_unplain_rows_skip_numpys_parse(tmp_path, monkeypatch, last):
+    # the byte scan finds them, so numpy parses no row before the checked parser reads
+    path = tmp_path / "late.csv"
+    path.write_text("x_1,\u00e9\n" + "1,2\n" * 50 + f"{last}\n", encoding="utf-8")
+    monkeypatch.setattr(np, "loadtxt", _unexpected)
+    assert _read_plain_csv(path) is None
+
+
+@pytest.mark.parametrize("fmt", ["band", "dense"])
+def test_select_writes_the_same_bytes_on_both_csv_paths(tmp_path, capsys, monkeypatch, fmt):
+    path = tmp_path / "data.csv"
+    rows = sample_dataset(build_sigma(ArDecay(rho=0.6, p=15)), 40, seed=12).rows
+    _write_csv(path, rows, header=[f"x{j}" for j in range(15)])
+    assert _read_plain_csv(path) is not None  # the first run takes numpy's parser
+
+    def run(tag):
+        outs = {name: tmp_path / f"{tag}-{name}" for name in ("profile", "estimate", "report")}
+        assert main(["select", "--data", str(path), "--c", "logn", "--format", fmt,
+                     "--profile-out", str(outs["profile"]), "--estimate-out",
+                     str(outs["estimate"]), "--out", str(outs["report"])]) == 0
+        return {name: out.read_bytes() for name, out in outs.items()}
+
+    fast = run("fast")
+    monkeypatch.setattr(np, "loadtxt", _fail)
+    assert run("checked") == fast
+    assert capsys.readouterr().err == ""
+
+
+def test_header_only_csv_is_one_data_error_without_warnings(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b,c\n")
+    src = Path(surecov.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"}
+    proc = subprocess.run([sys.executable, "-m", "surecov.cli", "select", "--data", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"error: {path}: need at least 4 observation rows, got 0"]
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -96,6 +96,51 @@ def test_config_validation():
         ExperimentConfig(model=model, n=30, c_values=(1.0,)).resolved_c()
 
 
+def test_numpy_integer_config_fields_give_python_int_payloads():
+    # a numpy integer used to end a finished run in a JSON TypeError (tau_fixed)
+    # or in a bare OverflowError from derive_seed (base_seed)
+    model = ArDecay(rho=0.5, p=6)
+    plain = ExperimentConfig(model=model, n=20, replications=3, base_seed=3, kind="clt",
+                             tau_fixed=2, var_method="exact")
+    numpy = ExperimentConfig(model=model, n=np.int64(20), replications=np.int32(3),
+                             base_seed=np.int64(3), kind="clt", tau_fixed=np.int64(2),
+                             var_method="exact", threads=np.int8(1))
+    assert all(type(getattr(numpy, name)) is int
+               for name in ("n", "replications", "base_seed", "tau_fixed", "threads"))
+    assert clt_experiment(numpy).payload_bytes() == clt_experiment(plain).payload_bytes()
+    table = ExperimentConfig(model=model, n=20, replications=2, base_seed=np.int64(3),
+                             tau_max=np.int16(4))
+    assert run_experiment(table).payload_bytes() == run_experiment(
+        ExperimentConfig(model=model, n=20, replications=2, base_seed=3, tau_max=4)
+    ).payload_bytes()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 20.0, "n must be an integer"),
+    ("replications", 2.5, "replications must be an integer"),
+    ("base_seed", "3", "base_seed must be an integer"),
+    ("tau_max", 4.0, "tau_max must be an integer"),
+    ("truncation_band", 1.5, "truncation_band must be an integer"),
+    ("threads", None, "threads must be an integer"),
+])
+def test_non_integer_config_fields_are_parameter_errors(field, value, message):
+    with pytest.raises(ParameterError, match=message):
+        ExperimentConfig(model=ArDecay(rho=0.5, p=6), **{"n": 20, field: value})
+
+
+@pytest.mark.parametrize("tau", [np.float64(2.0), 0])
+def test_bad_tau_fixed_is_checked_by_clt_after_its_replications(tau):
+    # the config leaves a bad tau_fixed to clt_experiment, which checks the
+    # replication count first (exit 3 before exit 2 on the command line)
+    model = ArDecay(rho=0.5, p=6)
+    two = ExperimentConfig(model=model, n=20, replications=2, kind="clt", tau_fixed=tau)
+    with pytest.raises(ParameterError, match="tau must be a positive integer"):
+        clt_experiment(two)
+    one = ExperimentConfig(model=model, n=20, replications=1, kind="clt", tau_fixed=tau)
+    with pytest.raises(DataError, match="needs >= 2 replications"):
+        clt_experiment(one)
+
+
 def test_resolved_c_keys():
     cfg = ExperimentConfig(model=ArDecay(rho=0.5, p=8), n=30, c_values=(2.0, "logn", 3.5))
     cmap = cfg.resolved_c()
