@@ -70,6 +70,7 @@ __all__ = [
     "sure_profile",
     "sure_profile_from_band",
     "sure_eq2_reference",
+    "profile_values",
     "default_tau_grid",
 ]
 

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .errors import DataError, ParameterError
-from .model import Dataset, Matrix
+from .model import Dataset, Matrix, _is_int
 
 __all__ = [
     "Banding",
@@ -37,18 +37,8 @@ __all__ = [
 ]
 
 
-class _Scheme:
-    """Common interface: a vector of weights per distance for a given tau."""
-
-    name = "custom"
-
-    def weights(self, tau: int, dmax: int) -> NDArray[np.float64]:
-        """Weights ``w(tau, d)`` for ``d = 0 .. dmax-1``."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Banding(_Scheme):
+class Banding:
     """Indicator weights ``w(tau, d) = 1{d < tau}``."""
 
     name = "banding"
@@ -60,7 +50,7 @@ class Banding(_Scheme):
 
 
 @dataclass(frozen=True)
-class CzzTaper(_Scheme):
+class CzzTaper:
     """Trapezoidal tapering weights.
 
     ``w = 1`` for ``d <= floor(tau/2)``, then decays linearly,
@@ -85,7 +75,7 @@ class CzzTaper(_Scheme):
 
 
 @dataclass(frozen=True)
-class CustomToeplitz(_Scheme):
+class CustomToeplitz:
     """User-supplied weights: ``table[tau]`` lists ``w(tau, d)`` for ``d < tau``.
 
     Entries beyond the listed ones are zero.  Each row is validated against
@@ -126,7 +116,7 @@ WeightScheme = Banding | CzzTaper | CustomToeplitz
 
 
 def _check_tau(tau: int) -> None:
-    if not (isinstance(tau, (int, np.integer)) and tau >= 1):
+    if not (_is_int(tau) and tau >= 1):
         raise ParameterError(f"tau must be a positive integer, got {tau!r}")
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "CovModel",
     "Dataset",
     "build_sigma",
+    "cholesky_factor",
     "sample_dataset",
     "model_bandwidth",
 ]
@@ -80,9 +81,9 @@ class BandedUniform:
         _check_dim(self.p)
         if not np.isfinite(self.offdiag):
             raise ParameterError(f"BandedUniform requires a finite offdiag, got {self.offdiag}")
-        if not 1 <= self.k0 <= self.p:
+        if not (_is_int(self.k0) and 1 <= self.k0 <= self.p):
             raise ParameterError(
-                f"BandedUniform requires 1 <= k0 <= p, got k0={self.k0}, p={self.p}"
+                f"BandedUniform requires an integer 1 <= k0 <= p, got k0={self.k0}, p={self.p}"
             )
 
 
@@ -137,8 +138,13 @@ class Dataset:
         return self.rows.shape[1]
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_dim(p: int) -> None:
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
+    if not (_is_int(p) and p >= 1):
         raise ParameterError(f"dimension p must be a positive integer, got {p!r}")
 
 

@@ -10,18 +10,16 @@ counts) from a ``meta`` section holding wall time and runtime facts.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import json
 import math
-import operator
 import os
 import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -44,8 +42,10 @@ from .model import (
     BandedUniform,
     CovModel,
     Dataset,
+    Explicit,
     PolyDecay,
     _draw_rows,
+    _is_int,
     build_sigma,
     cholesky_factor,
     model_bandwidth,
@@ -128,12 +128,11 @@ class ExperimentConfig:
         ints += [name for name in ("tau_max", "truncation_band") if getattr(self, name) is not None]
         for name in ints:
             value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-        with contextlib.suppress(TypeError):  # clt_experiment words a bad tau like any other
-            object.__setattr__(self, "tau_fixed", operator.index(self.tau_fixed))
+            if not _is_int(value):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if _is_int(self.tau_fixed):  # else clt_experiment words a bad tau like any other
+            object.__setattr__(self, "tau_fixed", int(self.tau_fixed))
         if self.replications < 1:
             raise ParameterError(f"replications must be >= 1, got {self.replications}")
         if self.n < 4:
@@ -170,20 +169,18 @@ class ExperimentConfig:
         }
 
 
+_VARIANTS = {
+    PolyDecay: "poly-decay",
+    ArDecay: "ar-decay",
+    BandedUniform: "banded-uniform",
+    Explicit: "explicit",
+}
+
+
 def _model_echo(model: CovModel) -> dict:
-    if isinstance(model, PolyDecay):
-        return {"variant": "poly-decay", "rho": model.rho, "alpha": model.alpha, "p": model.p}
-    if isinstance(model, ArDecay):
-        return {"variant": "ar-decay", "rho": model.rho, "p": model.p}
-    if isinstance(model, BandedUniform):
-        return {
-            "variant": "banded-uniform",
-            "k0": model.k0,
-            "offdiag": model.offdiag,
-            "p": model.p,
-            "unit_diagonal": model.unit_diagonal,
-        }
-    return {"variant": "explicit", "p": model.p}
+    """The model's variant name and the fields its repr shows (so not ``Explicit.matrix``)."""
+    shown = {f.name: getattr(model, f.name) for f in fields(model) if f.repr}
+    return {"variant": _VARIANTS[type(model)], **shown}
 
 
 @dataclass(frozen=True)
@@ -495,11 +492,12 @@ def rate_experiment(
     t0 = time.perf_counter()
     if len(n_list) < 3:
         raise ParameterError(f"rate experiment needs >= 3 sample sizes, got {n_list}")
+    model = PolyDecay(rho=rho, alpha=alpha, p=p)
     per_n = []
     used_threads = resolve_threads(threads)
     for n in n_list:
         config = ExperimentConfig(
-            model=PolyDecay(rho=rho, alpha=alpha, p=p),
+            model=model,
             n=n,
             scheme=Banding(),
             c_values=(2.0,),
@@ -521,7 +519,7 @@ def rate_experiment(
         "theoretical_slope": -(2 * alpha + 1) / (2 * (alpha + 1)),
     }
     config_echo = {
-        "model": {"variant": "poly-decay", "rho": rho, "alpha": alpha, "p": p},
+        "model": _model_echo(model),
         "n_list": list(n_list),
         "replications": reps,
         "base_seed": base_seed,

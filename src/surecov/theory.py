@@ -79,7 +79,7 @@ from .criterion import (
 )
 from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, _band
-from .model import Matrix, _toeplitz
+from .model import Matrix, _is_int, _toeplitz
 
 __all__ = [
     "CoeffSet",
@@ -100,13 +100,12 @@ VAR_EXACT_CAP = 64
 
 @dataclass(frozen=True)
 class CoeffSet:
-    """The five per-entry coefficients, as functions of (n, c, omega)."""
+    """The four per-entry coefficients, as functions of (n, c, omega)."""
 
     abar: float | NDArray[np.float64]
     bbar: float | NDArray[np.float64]
     Abar: float | NDArray[np.float64]
     Bbar: float | NDArray[np.float64]
-    Cbar: float | NDArray[np.float64]
 
 
 def coeffs(n: int, c: float, omega) -> CoeffSet:
@@ -129,7 +128,6 @@ def coeffs(n: int, c: float, omega) -> CoeffSet:
         bbar=bbar,
         Abar=abar + k.a_n * bbar,
         Bbar=w**2 + k.gamma * (c - 2.0) * w,
-        Cbar=abar + (k.a_n + k.b_n) * bbar,
     )
 
 
@@ -141,9 +139,6 @@ class RiskProfile:
     values: NDArray[np.float64] = field(repr=False)
     c: float = 2.0
     oracle_tau: int = 1
-
-    def value_at(self, tau: int) -> float:
-        return float(self.values[self.tau_grid.index(tau)])
 
     def min_value(self) -> float:
         return float(np.min(self.values))
@@ -364,8 +359,8 @@ def var_profile(
             )
         terms = np.array([_var_terms_dense(sigma, n, c, scheme, t) for t in taus]).T
     elif method == "banded-truncated":
-        if truncation_band is None or truncation_band < 1:
-            raise ParameterError("banded-truncated var_n needs truncation_band >= 1")
+        if not (_is_int(truncation_band) and truncation_band >= 1):
+            raise ParameterError("banded-truncated var_n needs an integer truncation_band >= 1")
         terms = _var_terms_banded(sigma, n, c, scheme, taus, int(truncation_band))
     else:
         raise ParameterError(f"unknown var_n method {method!r}")

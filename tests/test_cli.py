@@ -253,6 +253,14 @@ def test_unplain_csv_is_left_to_the_checked_parser(tmp_path, text):
     assert _read_plain_csv(path) is None
 
 
+def test_quoted_first_data_row_is_not_taken_for_a_header(tmp_path):
+    # float('"1"') fails, so without the first line's quote check the fast path
+    # would skip that row as a header and return the 4 rows after it
+    path = tmp_path / "quoted.csv"
+    path.write_text('"1",2\n3,4\n5,6\n7,8\n9,10\n', encoding="utf-8")
+    assert read_matrix_csv(path).tolist() == [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
+
+
 def _unexpected(*args, **kwargs):
     raise AssertionError("np.loadtxt ran")
 

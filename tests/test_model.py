@@ -72,6 +72,24 @@ def test_parameter_validation():
         ArDecay(rho=0.5, p=-3)
 
 
+@pytest.mark.parametrize("k0", [2.5, np.float64(3.0), True])
+def test_banded_uniform_bandwidth_must_be_an_integer(k0):
+    # 2.5 was accepted and then run as band int(2.5) = 2 by var_n
+    with pytest.raises(ParameterError, match="requires an integer 1 <= k0 <= p"):
+        BandedUniform(k0=k0, offdiag=0.2, p=100)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PolyDecay(rho=0.6, alpha=0.5, p=True),
+    lambda: ArDecay(rho=0.5, p=True),
+    lambda: BandedUniform(k0=1, offdiag=0.2, p=True),
+])
+def test_bool_dimension_is_a_parameter_error(make):
+    # ArDecay(0.5, True) used to end in a bare TypeError from build_sigma
+    with pytest.raises(ParameterError, match="dimension p must be a positive integer, got True"):
+        make()
+
+
 def test_cholesky_identity_and_jitter():
     assert np.allclose(cholesky_factor(np.eye(3)), np.eye(3))
     # exactly singular PSD: the one-shot jitter retry must succeed

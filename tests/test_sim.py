@@ -16,6 +16,7 @@ from surecov.model import (
     ArDecay,
     BandedUniform,
     Dataset,
+    Explicit,
     PolyDecay,
     build_sigma,
     sample_dataset,
@@ -25,6 +26,7 @@ from surecov.sim import (
     _ExperimentContext,
     _blas_thread_setter,
     _map_ordered,
+    _model_echo,
     clt_experiment,
     consistency_experiment,
     derive_seed,
@@ -32,6 +34,7 @@ from surecov.sim import (
     ks_statistic,
     normal_cdf,
     oracle_ratio_experiment,
+    rate_experiment,
     resolve_threads,
     run_experiment,
     run_replication,
@@ -139,6 +142,43 @@ def test_bad_tau_fixed_is_checked_by_clt_after_its_replications(tau):
     one = ExperimentConfig(model=model, n=20, replications=1, kind="clt", tau_fixed=tau)
     with pytest.raises(DataError, match="needs >= 2 replications"):
         clt_experiment(one)
+
+
+@pytest.mark.parametrize("field", ["replications", "n", "base_seed", "tau_max", "threads"])
+def test_bool_config_fields_are_parameter_errors(field):
+    # replications=True used to run one replication
+    with pytest.raises(ParameterError, match=f"{field} must be an integer, got True"):
+        ExperimentConfig(model=ArDecay(rho=0.5, p=6), **{"n": 20, field: True})
+
+
+def test_bool_tau_fixed_is_checked_by_clt():
+    cfg = ExperimentConfig(model=ArDecay(rho=0.5, p=6), n=20, replications=2, kind="clt",
+                           tau_fixed=True)
+    with pytest.raises(ParameterError, match="tau must be a positive integer, got True"):
+        clt_experiment(cfg)
+
+
+def test_model_echo_is_frozen():
+    assert _model_echo(PolyDecay(rho=0.6, alpha=0.5, p=40)) == {
+        "variant": "poly-decay", "rho": 0.6, "alpha": 0.5, "p": 40,
+    }
+    assert _model_echo(ArDecay(rho=0.5, p=30)) == {"variant": "ar-decay", "rho": 0.5, "p": 30}
+    for unit in (False, True):
+        assert _model_echo(BandedUniform(k0=5, offdiag=0.25, p=20, unit_diagonal=unit)) == {
+            "variant": "banded-uniform", "k0": 5, "offdiag": 0.25, "p": 20, "unit_diagonal": unit,
+        }
+    assert _model_echo(Explicit(matrix=np.eye(3))) == {"variant": "explicit", "p": 3}
+
+
+def test_rate_experiment_config_echo_is_frozen():
+    report = rate_experiment(alpha=0.5, rho=0.6, p=8, n_list=[10, 20, 40], reps=2, base_seed=5)
+    assert report.config == {
+        "model": {"variant": "poly-decay", "rho": 0.6, "alpha": 0.5, "p": 8},
+        "n_list": [10, 20, 40],
+        "replications": 2,
+        "base_seed": 5,
+        "kind": "rate",
+    }
 
 
 def test_resolved_c_keys():

@@ -2,7 +2,7 @@
 
 Frozen values (exact rational arithmetic, computed before implementation):
 
-* coeffs(n=5, c=2, omega=1) = (1/16, 3/4, 1/6, 1, 3/8)
+* coeffs(n=5, c=2, omega=1) = (1/16, 3/4, 1/6, 1)
 * risk on I_3, n=5, banding, c=2: R(1)=1.08, R(2)=1.72, R(3)=2.04
 * var_n(I_2, n=5, banding tau=1, c=2) = 1612/3375
 * exact_sure_variance([[1]], n=5, tau=1, c=2) = 189/625 = 0.3024
@@ -36,7 +36,6 @@ def test_coeffs_frozen_values():
     assert cs.bbar == pytest.approx(3 / 4, abs=1e-16)
     assert cs.Abar == pytest.approx(1 / 6, abs=1e-16)
     assert cs.Bbar == pytest.approx(1.0, abs=0)
-    assert cs.Cbar == pytest.approx(3 / 8, abs=1e-16)
 
 
 def test_coeffs_validation():
@@ -69,12 +68,26 @@ def test_bbar_two_forms_agree(n, c_extra, omega):
 @settings(max_examples=40)
 @given(n=st.integers(8, 200), omega=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 def test_coefficient_bounds(n, omega):
-    """For c in [2, n/4]: |Abar| <= 2, |Cbar| <= 2, 0 <= Bbar <= c."""
+    """For c in [2, n/4]: |Abar| <= 2, 0 <= Bbar <= c."""
     for c in (2.0, n / 4):
         cs = coeffs(n, c, omega)
         assert abs(cs.Abar) <= 2.0
-        assert abs(cs.Cbar) <= 2.0
         assert 0.0 <= cs.Bbar <= c
+
+
+@pytest.mark.parametrize("band", [2.5, np.float64(2.0), True, 0, None])
+def test_truncation_band_must_be_a_positive_integer(band):
+    # 2.5 used to be truncated to band 2 without a word
+    sigma = build_sigma(BandedUniform(k0=2, offdiag=0.2, p=8))
+    with pytest.raises(ParameterError, match="needs an integer truncation_band >= 1"):
+        var_profile(sigma, 20, Banding(), (1, 2), 2.0, "banded-truncated", band)
+
+
+def test_bool_tau_is_not_a_grid_point():
+    # True used to pass as tau = 1
+    sigma = build_sigma(BandedUniform(k0=2, offdiag=0.2, p=8))
+    with pytest.raises(ParameterError, match="tau must be a positive integer, got True"):
+        risk_profile(sigma, 20, Banding(), 2.0, [True, 3])
 
 
 def test_risk_identity_frozen():
