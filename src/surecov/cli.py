@@ -305,6 +305,8 @@ def model_from_args(ns: argparse.Namespace) -> CovModel:
         raise ParameterError("--p is required with --model")
     if ns.n is None:
         raise ParameterError("--n is required")
+    if ns.n < 4:  # the library calls a small n a data error; here it is a flag
+        raise ParameterError(f"--n must be >= 4, got {ns.n}")
     if kind == "poly-decay":
         _default(ns, "rho", 0.6)
         if ns.alpha is None:
@@ -364,7 +366,7 @@ def cmd_select(ns: argparse.Namespace) -> int:
         },
         "results": {
             "selected_tau": int(tau_hat),
-            "min_sure": float(profile.value_at(tau_hat)),
+            "min_sure": float(profile.values.min()),
             "profile": [[t, float(v)] for t, v in zip(profile.tau_grid, profile.values)],
         },
     }
@@ -516,7 +518,7 @@ _COMMON = {
     "--config": {"help": "key = value file; flags override it"},
     "--out": {"help": "write the report here instead of stdout"},
 }
-_THREADS = {"--threads": {"type": int, "help": "worker threads (0 = SURECOV_THREADS, else 1)"}}
+_THREADS = {"--threads": {"type": int, "help": "worker threads (default 1)"}}
 _EXPERIMENT = {
     "--tau-max": {"type": int},
     **_REPS_SEED,

@@ -59,7 +59,7 @@ from numpy.typing import NDArray
 
 from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, _band, _check_tau, frob_sq_dist, taper, unbiased_cov
-from .model import Matrix
+from .model import Matrix, _is_int
 
 __all__ = [
     "SureConstants",
@@ -167,9 +167,6 @@ class CriterionProfile:
     c: float = 2.0
     selected_tau: int = 1
 
-    def value_at(self, tau: int) -> float:
-        return float(self.values[self.tau_grid.index(tau)])
-
 
 def _check_grid(tau_grid) -> tuple[int, ...]:
     grid = tuple(tau_grid)
@@ -182,6 +179,8 @@ def _check_grid(tau_grid) -> tuple[int, ...]:
 
 def default_tau_grid(p: int, n: int, tau_max: int | None = None) -> tuple[int, ...]:
     """Grid 1..min(p, n) by default; ``tau_max`` overrides the cap up to p."""
+    if tau_max is not None and not _is_int(tau_max):
+        raise ParameterError(f"tau_max must be an integer, got {tau_max!r}")
     if tau_max is not None and tau_max < 1:
         raise ParameterError(f"tau_max must be >= 1, got {tau_max}")
     cap = min(p, n) if tau_max is None else min(tau_max, p)
@@ -273,9 +272,9 @@ def sure_eq2_reference(
     if consts.n < 4:
         raise DataError(f"the criterion requires n >= 4, got n={consts.n}")
     s = np.asarray(sigma_tilde, dtype=np.float64)
-    fit = frob_sq_dist(taper(s, scheme, tau).matrix, unbiased_cov(s, consts.n))
+    fit = frob_sq_dist(taper(s, scheme, tau), unbiased_cov(s, consts.n))
     vhat = consts.gamma * (consts.a_n * s**2 + consts.b_n * np.outer(np.diagonal(s), np.diagonal(s)))
-    penalty = consts.c * (1.0 / consts.gamma) * float(np.sum(taper(vhat, scheme, tau).matrix))
+    penalty = consts.c * (1.0 / consts.gamma) * float(np.sum(taper(vhat, scheme, tau)))
     return fit - float(np.sum(vhat)) + penalty
 
 

@@ -21,14 +21,13 @@ from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .errors import DataError, ParameterError
-from .model import Dataset, Matrix, _is_int
+from .model import Dataset, Matrix, _is_int, _toeplitz
 
 __all__ = [
     "Banding",
     "CzzTaper",
     "CustomToeplitz",
     "WeightScheme",
-    "TaperedEstimate",
     "taper",
     "mle_cov",
     "band_gram",
@@ -120,18 +119,7 @@ def _check_tau(tau: int) -> None:
         raise ParameterError(f"tau must be a positive integer, got {tau!r}")
 
 
-@dataclass(frozen=True)
-class TaperedEstimate:
-    """A tapered sample covariance ``w o Sigma_tilde`` (entrywise product)."""
-
-    tau: int
-    scheme: WeightScheme
-    matrix: Matrix = field(repr=False)
-
-
 def _centered(data: Dataset) -> Matrix:
-    if data.n < 3:
-        raise DataError(f"need n >= 3 observations, got n={data.n}")
     return data.rows - data.rows.mean(axis=0)
 
 
@@ -213,17 +201,11 @@ def unbiased_cov(sigma_tilde: Matrix, n: int) -> Matrix:
     return np.asarray(sigma_tilde, dtype=np.float64) * (n / (n - 1))
 
 
-def taper(sigma_tilde: Matrix, scheme: WeightScheme, tau: int) -> TaperedEstimate:
-    """Apply the scheme's weights entrywise: ``matrix[i,j] = w(tau,|i-j|) * sigma_tilde[i,j]``."""
-    _check_tau(tau)
+def taper(sigma_tilde: Matrix, scheme: WeightScheme, tau: int) -> Matrix:
+    """The tapered estimate ``w o sigma_tilde``: ``out[i,j] = sigma_tilde[i,j] * w(tau,|i-j|)``."""
     sigma_tilde = np.asarray(sigma_tilde, dtype=np.float64)
     p = sigma_tilde.shape[0]
-    w = scheme.weights(tau, p)
-    out = np.multiply(sigma_tilde, 0.0, order="C")  # not zeros: keeps w * s's -0.0 and nan
-    for d in range(min(tau, p)):
-        out.flat[d : (p - d) * p : p + 1] = w[d] * np.diagonal(sigma_tilde, d)
-        out.flat[d * p :: p + 1] = w[d] * np.diagonal(sigma_tilde, -d)
-    return TaperedEstimate(tau=tau, scheme=scheme, matrix=out)
+    return sigma_tilde * _toeplitz(scheme.weights(tau, p), p)
 
 
 def frob_sq_dist(a: Matrix, b: Matrix) -> float:

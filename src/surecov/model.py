@@ -52,7 +52,7 @@ class PolyDecay:
             raise ParameterError(f"PolyDecay requires 0 <= rho < 1, got {self.rho}")
         if not 0 < self.alpha < np.inf:
             raise ParameterError(f"PolyDecay requires a finite alpha > 0, got {self.alpha}")
-        _check_dim(self.p)
+        object.__setattr__(self, "p", _check_dim(self.p))
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class ArDecay:
     def __post_init__(self) -> None:
         if not abs(self.rho) < 1:
             raise ParameterError(f"ArDecay requires |rho| < 1, got {self.rho}")
-        _check_dim(self.p)
+        object.__setattr__(self, "p", _check_dim(self.p))
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,14 @@ class BandedUniform:
     unit_diagonal: bool = False
 
     def __post_init__(self) -> None:
-        _check_dim(self.p)
+        object.__setattr__(self, "p", _check_dim(self.p))
         if not np.isfinite(self.offdiag):
             raise ParameterError(f"BandedUniform requires a finite offdiag, got {self.offdiag}")
         if not (_is_int(self.k0) and 1 <= self.k0 <= self.p):
             raise ParameterError(
                 f"BandedUniform requires an integer 1 <= k0 <= p, got k0={self.k0}, p={self.p}"
             )
+        object.__setattr__(self, "k0", int(self.k0))
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_dim(p: int) -> None:
+def _check_dim(p: int) -> int:
     if not (_is_int(p) and p >= 1):
         raise ParameterError(f"dimension p must be a positive integer, got {p!r}")
+    return int(p)
 
 
 def build_sigma(model: CovModel) -> Matrix:
@@ -191,10 +193,9 @@ def model_bandwidth(model: CovModel) -> int | None:
         m = model.matrix
         p = m.shape[0]
         for k in range(p, 0, -1):
-            # band k-1 is the outermost that may be nonzero
+            # band k-1 is the outermost that may be nonzero; band 0 is positive
             if np.any(np.diagonal(m, offset=k - 1) != 0.0):
                 return k
-        return 1  # zero off-diagonals everywhere; degenerate but banded at 1
     return None
 
 

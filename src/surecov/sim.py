@@ -14,7 +14,6 @@ import ctypes
 import hashlib
 import json
 import math
-import os
 import struct
 import threading
 import time
@@ -121,7 +120,7 @@ class ExperimentConfig:
     tau_fixed: int | None = None  # clt only
     var_method: str | None = None  # clt only: exact | banded-truncated | None = auto
     truncation_band: int | None = None
-    threads: int = 0  # 0 = SURECOV_THREADS env, else 1
+    threads: int = 0  # replication pool size; 0 and 1 both mean one worker
 
     def __post_init__(self) -> None:
         ints = ["n", "replications", "base_seed", "threads"]
@@ -256,25 +255,6 @@ class _ExperimentContext:
         )
 
 
-def resolve_threads(threads: int) -> int:
-    """Replication pool size: ``threads``, else ``SURECOV_THREADS``, else 1.
-
-    One worker by default: it leaves the other cores to the rest of a shared
-    host, so its speed does not swing with their load; a pool is opt-in.
-    """
-    if threads > 0:
-        return threads
-    env = os.environ.get("SURECOV_THREADS", "")
-    if env.strip():
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParameterError(f"SURECOV_THREADS must be an integer, got {env!r}") from None
-        if value > 0:
-            return value
-    return 1
-
-
 @lru_cache(maxsize=1)
 def _blas_thread_setter():
     """``openblas_set_num_threads_local`` (it returns the previous count) of an
@@ -363,7 +343,7 @@ def _mean_se(values: NDArray[np.float64]) -> tuple[float, float | None]:
 
 def _meta(t0: float, threads: int) -> dict:
     """A report's ``meta``, never in ``payload_bytes``: time since ``t0``, pool size."""
-    return {"wall_time_s": time.perf_counter() - t0, "threads": threads}
+    return {"wall_time_s": time.perf_counter() - t0, "threads": max(threads, 1)}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -376,8 +356,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     ctx = _ExperimentContext(config)
-    threads = resolve_threads(config.threads)
-    records = _map_ordered(ctx.replicate, config.replications, threads)
+    records = _map_ordered(ctx.replicate, config.replications, config.threads)
 
     results: dict = {"per_c": {}}
     for key in ctx.cmap:
@@ -402,7 +381,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "tau": oracle.oracle_tau,
         "min_risk": oracle.min_value(),
     }
-    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, threads))
+    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
 
 
 def _single_c(config: ExperimentConfig) -> tuple[str, float]:
@@ -451,8 +430,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         _, _, s1, s2 = ctx.sums(rep_index)
         return (float(ctx.grid.sure(s1, s2, consts)[0]) - float(risk)) / scale
 
-    threads = resolve_threads(config.threads)
-    sample = np.array(_map_ordered(one, config.replications, threads))
+    sample = np.array(_map_ordered(one, config.replications, config.threads))
 
     results = {
         "c_key": ckey,
@@ -465,7 +443,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         "standardized_var": float(np.var(sample, ddof=1)),
         "ks_distance": ks_statistic(sample),
     }
-    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, threads))
+    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
 
 
 def fit_loglog_slope(ns: NDArray[np.float64], losses: NDArray[np.float64]) -> float:
@@ -494,7 +472,6 @@ def rate_experiment(
         raise ParameterError(f"rate experiment needs >= 3 sample sizes, got {n_list}")
     model = PolyDecay(rho=rho, alpha=alpha, p=p)
     per_n = []
-    used_threads = resolve_threads(threads)
     for n in n_list:
         config = ExperimentConfig(
             model=model,
@@ -525,7 +502,7 @@ def rate_experiment(
         "base_seed": base_seed,
         "kind": "rate",
     }
-    return ExperimentReport(config=config_echo, results=results, meta=_meta(t0, used_threads))
+    return ExperimentReport(config=config_echo, results=results, meta=_meta(t0, threads))
 
 
 def oracle_ratio_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -561,7 +538,6 @@ def consistency_experiment(config: ExperimentConfig, n_list: list[int] | None = 
         raise ParameterError("consistency experiment requires a model with an exact bandwidth")
     ns = list(n_list) if n_list is not None else [config.n]
     per_n = []
-    used_threads = resolve_threads(config.threads)
     for n in ns:
         cfg = replace(config, n=n, c_values=(2.0, "logn"), kind="consistency")
         report = run_experiment(cfg)
@@ -582,7 +558,7 @@ def consistency_experiment(config: ExperimentConfig, n_list: list[int] | None = 
             }
         )
     results = {"k0": k0, "per_n": per_n}
-    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, used_threads))
+    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
 
 
 # --- presets -------------------------------------------------------------

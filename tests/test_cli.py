@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import surecov
@@ -411,7 +411,7 @@ def test_select_round_trip_matches_in_process(data_csv, tmp_path, capsys):
     )
     assert report["results"]["selected_tau"] == profile.selected_tau
     assert report["results"]["min_sure"] == pytest.approx(
-        profile.value_at(profile.selected_tau)
+        profile.values[profile.tau_grid.index(profile.selected_tau)]
     )
     assert report["config"]["seed"] is None
 
@@ -455,7 +455,7 @@ def test_select_writes_profile_and_estimate(data_csv, tmp_path, capsys):
                      "--estimate-out", str(est), "--format", "band"]) == 0
         tau_hat = json.loads(capsys.readouterr().out)["results"]["selected_tau"]
         assert tau_hat >= 5
-        expected = taper(s_tilde, scheme, tau_hat).matrix
+        expected = taper(s_tilde, scheme, tau_hat)
         triplets = [line.split(",") for line in est.read_text().splitlines()]
         assert len(triplets) == sum(min(tau_hat, 12 - i) for i in range(12))
         for i, j, value in triplets:
@@ -519,7 +519,7 @@ def test_dense_select_is_the_tapered_mle(tmp_path, capsys, scheme, n, p):
 
     cells = [line.split(",") for line in est.read_text().splitlines()]
     got = np.array([[float(v) for v in row] for row in cells])
-    expected = taper(s_tilde, scheme, tau_hat).matrix
+    expected = taper(s_tilde, scheme, tau_hat)
     assert got.shape == (p, p)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
     dist = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
@@ -586,6 +586,13 @@ def test_logn_below_two_names_logn(capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: penalty multiplier c must be finite and >= 2, got logn = log(5)"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "risk", "clt"])
+def test_n_below_four_is_a_usage_error_in_every_command(capsys, command):
+    # risk used to exit 3 for it, as if the flag were data
+    assert main([command, "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: --n must be >= 4, got 3\n"
 
 
 def test_simulate_takes_no_preset(capsys):
@@ -796,6 +803,22 @@ def test_simulate_csv_format(capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("kind", ["consistency", "oracle-ratio"])
+def test_simulate_csv_holds_the_json_results(capsys, kind):
+    argv = ["simulate", "--model", "banded-uniform", "--k0", "2", "--p", "10", "--n", "30",
+            "--reps", "3", "--kind", kind, "--format"]
+    assert main(argv + ["json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert main(argv + ["csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if kind == "consistency":
+        (row,) = results["per_n"]
+        assert lines == ["n,frac_logn_equals_k0,frac_sure2_in_window",
+                         f"30,{row['frac_logn_equals_k0']!r},{row['frac_sure2_in_window']!r}"]
+    else:
+        assert lines == [f"{key},{value}" for key, value in sorted(results.items())]
+
+
 def test_clt_command(capsys):
     code = main(["clt", "--model", "banded-uniform", "--k0", "2", "--offdiag", "0.3",
                  "--p", "10", "--n", "24", "--tau", "2", "--reps", "100", "--seed", "3"])
@@ -824,6 +847,13 @@ def test_table_presets_via_cli(tmp_path, capsys):
     assert report["results"]["k0"] == 5
 
 
+def test_table1_p_overrides_the_fast_preset(capsys):
+    assert main(["table1", "model2-r05", "--fast", "--p", "40", "--n", "30", "--reps", "2"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["p"] == config["model"]["p"] == 40
+    assert config["n"] == 30
+
+
 def test_logn_c_resolution(data_csv, capsys):
     path, _ = data_csv
     assert main(["select", "--data", str(path), "--c", "logn"]) == 0
@@ -832,3 +862,109 @@ def test_logn_c_resolution(data_csv, capsys):
     assert main(["select", "--data", str(path), "--c", "2.5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["c"] == 2.5
+
+
+# --- fuzz: every command line and config file ends in a documented exit code ---
+
+# valid integers by option, small so that every run is quick; other integer
+# options take 1..12
+_FUZZ_VALID_INTS = {"--p": (1, 30), "--n": (4, 40), "--replications --reps": (2, 3),
+                    "--threads": (0, 2), "--seed": (0, 12)}
+# "@" stands for the test's directory, so "@" alone is a directory; any data
+# file may come, about half of them good
+_FUZZ_DATA = ["@good.csv"] * 8 + ["@ragged.csv", "@nonfinite.csv", "@header.csv", "@latin1.csv",
+                                  "@huge.csv", "@short.csv", "@missing.csv", "@"]
+_FUZZ_PATHS = {  # option: (valid, invalid)
+    "--data": (_FUZZ_DATA, _FUZZ_DATA),
+    "--out": (["@out.txt"], ["@", "@missing/out.txt"]),
+    "--profile-out": (["@profile.csv"], ["@", "@missing/profile.csv"]),
+    "--estimate-out": (["@estimate.csv"], ["@"]),
+}
+_FUZZ_FILES = {
+    "good.csv": "a,b,c,d,e\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n"
+        for row in np.random.default_rng(0).normal(size=(8, 5)).tolist()),
+    "ragged.csv": "1,2,3\n4,5,6\n7,8\n1,2,3\n4,5,6\n",
+    "nonfinite.csv": "1,2\n3,nan\n5,6\ninf,8\n9,1\n",
+    "header.csv": "a,b,c\n",
+    "latin1.csv": b"a,b\n1,2\n3,\xe9\n5,6\n7,8\n",
+    "huge.csv": "".join(f"{1e200 * (i + 1)!r},{-2e200 * i!r}\n" for i in range(6)),
+    "short.csv": "1,2\n3,4\n",
+    "latin1.cfg": b"n = 5\n# caf\xe9\n",
+    "bad.cfg": "just words\n",
+}
+
+
+def _fuzz_values(names: str, kw: dict):
+    """Strategies for one option of ``COMMANDS``: its valid and its invalid values."""
+    if names in _FUZZ_PATHS:
+        return tuple(st.sampled_from(paths) for paths in _FUZZ_PATHS[names])
+    if "choices" in kw:
+        return st.sampled_from(kw["choices"]), st.just("bogus")
+    if kw.get("type") is int:
+        lo, hi = _FUZZ_VALID_INTS.get(names, (1, 12))
+        return st.integers(lo, hi).map(str), st.sampled_from(["-1", "0", "2.5", "x"])
+    if kw.get("type") is float:
+        return st.sampled_from(["0.5", "0.3", "-0.3"]), st.sampled_from(
+            ["1.5", "1e300", "nan", "inf", "x"])
+    return st.sampled_from(["2", "3", "logn"]), st.sampled_from(["1", "nan", "x", "2,x"])
+
+
+@st.composite
+def _invocations(draw):
+    """``(argv, config lines)``: each option of one command on the command line,
+    in the config file or absent, and at most two of them invalid.  ``--reps``,
+    and ``--fast`` on the table commands, are always on the command line."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = {names: kw for names, kw in COMMANDS[command][2].items() if names != "--config"}
+    bad = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv, lines = [command], draw(st.sampled_from([[]] * 6 + [["bogus = 1"], ["no equals"]]))
+    for names, kw in flags.items():
+        place = draw(st.sampled_from(["argv", "argv", "config", "absent"]))
+        if names in ("--replications --reps", "--fast"):
+            place = "argv"
+        if place == "absent" or (place == "config" and not names.startswith("--")):
+            continue
+        switch = kw.get("action") == "store_true"
+        if switch:
+            values = st.sampled_from(["true", "false"]), st.just("maybe")
+        else:
+            values = _fuzz_values(names, kw)
+        if place == "config":
+            lines.append(f"{names.split()[0][2:]} = {draw(values[names in bad])}")
+        elif switch:
+            argv.append(names)
+        else:
+            value = draw(values[names in bad])
+            argv += [value] if not names.startswith("--") else [names.split()[-1], value]
+    others = [None, None, None, "@latin1.cfg", "@bad.cfg", "@missing.cfg"]
+    config = draw(st.sampled_from(["@fuzz.cfg"] if lines else others))
+    return argv + ([] if config is None else ["--config", config]), lines
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(invocation=_invocations())
+# each example reaches one usage error, whatever the random draws do
+@example(invocation=(["simulate", "--model", "ar-decay", "--reps", "2"], []))  # no --p
+@example(invocation=(["risk", "--model", "ar-decay", "--rho", "0.5", "--p", "8"], []))  # no --n
+@example(invocation=(["clt", "--model", "ar-decay", "--p", "8", "--n", "20", "--reps", "2"],
+                     []))  # no --rho
+@example(invocation=(["select"], []))  # no --data
+@example(invocation=(["clt", "--model", "ar-decay", "--rho", "0.5", "--p", "8", "--n", "20",
+                      "--reps", "2"], []))  # no --tau
+@example(invocation=(["select", "--data", "@good.csv", "--out", "@"], []))  # --out is a directory
+@example(invocation=(["table2", "--fast", "--reps", "2", "--config", "@latin1.cfg"], []))
+def test_fuzzed_command_lines_exit_with_a_documented_code(tmp_path, capsys, invocation):
+    """Any mix of valid and invalid flags, config values and tiny input files
+    ends in exit code 0, 2, 3 or 4, and never in a traceback."""
+    argv, lines = invocation
+    root = f"{tmp_path}{os.sep}"
+    for name, content in _FUZZ_FILES.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    (tmp_path / "fuzz.cfg").write_text("".join(line.replace("@", root) + "\n" for line in lines))
+    code = main([arg.replace("@", root) for arg in argv])
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, lines, err)
+    assert "Traceback" not in err, (argv, lines, err)

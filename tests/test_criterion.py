@@ -128,10 +128,17 @@ def test_default_tau_grid():
             default_tau_grid(10, 6, tau_max=bad)
 
 
+@pytest.mark.parametrize("cap", [2.5, True])
+def test_default_tau_grid_rejects_a_non_integer_cap(cap):
+    # a float or bool cap used to end in a bare TypeError
+    with pytest.raises(ParameterError, match=f"tau_max must be an integer, got {cap}"):
+        default_tau_grid(10, 6, tau_max=cap)
+
+
 def test_sure_identity_frozen():
     # sigma_tilde = I_2, n=5, banding tau=2 keeps everything: value = 7/6
     profile = sure_profile(np.eye(2), sure_constants(5, 2.0), Banding(), (1, 2))
-    assert profile.value_at(2) == pytest.approx(7 / 6, rel=1e-14)
+    assert profile.values[profile.tau_grid.index(2)] == pytest.approx(7 / 6, rel=1e-14)
     ref = sure_eq2_reference(np.eye(2), sure_constants(5, 2.0), Banding(), 2)
     assert ref == pytest.approx(7 / 6, rel=1e-14)
 
@@ -256,7 +263,9 @@ def test_profile_selected_matches_helper():
     profile = sure_profile(mle_cov(ds), sure_constants(40, 2.0), Banding(), range(1, 11))
     assert profile.selected_tau == _smallest_argmin(profile.tau_grid, profile.values)
     assert profile.selected_tau in profile.tau_grid
-    assert profile.value_at(profile.selected_tau) == pytest.approx(min(profile.values))
+    assert profile.values[profile.tau_grid.index(profile.selected_tau)] == pytest.approx(
+        min(profile.values)
+    )
 
 
 def test_profile_values_match_per_tau_evaluation():

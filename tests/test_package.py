@@ -12,7 +12,7 @@ EXPORTS = [
     "ArDecay", "BandedUniform", "Banding", "CoeffSet", "CovModel", "CriterionProfile",
     "CustomToeplitz", "CzzTaper", "DataError", "Dataset", "ExperimentConfig",
     "ExperimentReport", "Explicit", "NumericalError", "ParameterError", "PolyDecay",
-    "ReplicationRecord", "RiskProfile", "SureConstants", "SurecovError", "TaperedEstimate",
+    "ReplicationRecord", "RiskProfile", "SureConstants", "SurecovError",
     "VarApprox", "WeightScheme", "band_gram", "band_sums", "build_sigma", "cholesky_factor",
     "clt_experiment", "coeffs", "consistency_experiment", "default_tau_grid", "derive_seed",
     "exact_sure_variance", "frob_sq_dist", "isserlis_moment", "ks_statistic", "mle_cov",

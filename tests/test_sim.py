@@ -35,7 +35,6 @@ from surecov.sim import (
     normal_cdf,
     oracle_ratio_experiment,
     rate_experiment,
-    resolve_threads,
     run_experiment,
     run_replication,
     table1_config,
@@ -116,6 +115,36 @@ def test_numpy_integer_config_fields_give_python_int_payloads():
     assert run_experiment(table).payload_bytes() == run_experiment(
         ExperimentConfig(model=model, n=20, replications=2, base_seed=3, tau_max=4)
     ).payload_bytes()
+
+
+@pytest.mark.parametrize("numpy, plain", [
+    (ArDecay(rho=0.5, p=np.int64(6)), ArDecay(rho=0.5, p=6)),
+    (PolyDecay(rho=0.6, alpha=0.5, p=np.int32(6)), PolyDecay(rho=0.6, alpha=0.5, p=6)),
+    (BandedUniform(k0=np.int64(2), offdiag=0.25, p=np.int64(8)),
+     BandedUniform(k0=2, offdiag=0.25, p=8)),
+])
+def test_numpy_integer_model_fields_give_python_int_payloads(numpy, plain):
+    # a numpy p or k0 used to end a finished run in a JSON TypeError
+    numpy_run, plain_run = (run_experiment(ExperimentConfig(model=m, n=20, replications=2))
+                            for m in (numpy, plain))
+    assert numpy_run.payload_bytes() == plain_run.payload_bytes()
+
+
+def test_explicit_model_runs_like_the_model_it_copies():
+    """An ``Explicit`` copy of a banded model gives the same results: the same
+    sigma, and under clt's automatic var method the same bandwidth."""
+    banded = BandedUniform(k0=3, offdiag=0.3, p=10)
+    explicit = Explicit(matrix=build_sigma(banded))
+    for kind, experiment, extra in [
+        ("table", run_experiment, {"c_values": (2.0, "logn")}),
+        ("clt", clt_experiment, {"tau_fixed": 3}),
+    ]:
+        reports = [
+            experiment(ExperimentConfig(model=m, n=30, replications=5, kind=kind, **extra))
+            for m in (explicit, banded)
+        ]
+        assert reports[0].config["model"] == {"variant": "explicit", "p": 10}
+        assert reports[0].results == reports[1].results
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -375,7 +404,7 @@ def test_run_replication_matches_experiment_loss():
     ds = sample_dataset(sigma, cfg.n, seed=rec.seed)
     s_tilde = mle_cov(Dataset(rows=ds.rows))
     tau = rec.tau_hat["2"]
-    direct = frob_sq_dist(taper(s_tilde, Banding(), tau).matrix, sigma)
+    direct = frob_sq_dist(taper(s_tilde, Banding(), tau), sigma)
     assert rec.loss["2"] == pytest.approx(direct, rel=1e-10)
 
 
@@ -507,17 +536,6 @@ def test_fit_loglog_slope():
     ns = np.array([50.0, 100.0, 200.0, 400.0])
     assert fit_loglog_slope(ns, 3.0 * ns**-0.7) == pytest.approx(-0.7, abs=1e-12)
     assert fit_loglog_slope(ns, np.full(4, 3.0)) == 0.0
-
-
-def test_resolve_threads(monkeypatch):
-    assert resolve_threads(5) == 5
-    monkeypatch.setenv("SURECOV_THREADS", "3")
-    assert resolve_threads(0) == 3
-    monkeypatch.setenv("SURECOV_THREADS", "abc")
-    with pytest.raises(ParameterError):
-        resolve_threads(0)
-    monkeypatch.delenv("SURECOV_THREADS")
-    assert resolve_threads(0) == 1
 
 
 def test_presets():

@@ -202,7 +202,7 @@ def test_var_n_banded_equals_exact_on_truncated_sigma(data, p, seed, c):
     sigma = root @ root.T / p + 0.5 * np.eye(p)
     n = 30
     banded = var_n(sigma, n, scheme, tau, c, method="banded-truncated", truncation_band=band)
-    dense = var_n(taper(sigma, Banding(), band).matrix, n, scheme, tau, c)
+    dense = var_n(taper(sigma, Banding(), band), n, scheme, tau, c)
     assert banded.value == pytest.approx(dense.value, rel=1e-12)
     assert banded.truncation_band == band
 
@@ -235,7 +235,7 @@ def test_var_profile_is_exact_var_n_of_the_truncation_at_every_tau(data, p, seed
     sigma = root @ root.T / p + 0.5 * np.eye(p)
     n = 30
     values = var_profile(sigma, n, scheme, grid, c, method="banded-truncated", truncation_band=band)
-    truncated = taper(sigma, Banding(), band).matrix
+    truncated = taper(sigma, Banding(), band)
     assert values.shape == (len(grid),)
     for tau, value in zip(grid, values):
         assert value == pytest.approx(var_n(truncated, n, scheme, tau, c).value, rel=1e-12)
@@ -275,7 +275,7 @@ def test_var_profile_in_chunks_is_exact_var_n_of_the_truncation(monkeypatch, ent
     sigma = root @ root.T / p + 0.5 * np.eye(p)
     grid = (9, 1, 31, 4, 4, 17, 2, 30)
     values = var_profile(sigma, n, CzzTaper(), grid, 2.5, "banded-truncated", band)
-    truncated = taper(sigma, Banding(), band).matrix
+    truncated = taper(sigma, Banding(), band)
     for tau, value in zip(grid, values):
         assert value == pytest.approx(var_n(truncated, n, CzzTaper(), tau, 2.5).value, rel=1e-12)
 
