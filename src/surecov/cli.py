@@ -38,6 +38,7 @@ from .estimate import Banding, CzzTaper, WeightScheme, band_gram
 from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay, build_sigma
 from .sim import (
     ExperimentConfig,
+    _var_method,
     clt_experiment,
     consistency_experiment,
     oracle_ratio_experiment,
@@ -463,8 +464,8 @@ def cmd_risk(ns: argparse.Namespace) -> int:
 
     var = None
     if ns.with_var:
-        method = ns.var_method or "exact"
-        var = var_profile(sigma, ns.n, scheme, profile.tau_grid, c, method, ns.truncation_band)
+        method, band = _var_method(model, ns.var_method, ns.truncation_band)
+        var = var_profile(sigma, ns.n, scheme, profile.tau_grid, c, method, band)
     lines = ["tau,risk" if var is None else "tau,risk,var_n"]
     for i, (t, r) in enumerate(zip(profile.tau_grid, profile.values)):
         line = f"{t},{_format_float(r)}"
@@ -490,7 +491,10 @@ def cmd_clt(ns: argparse.Namespace) -> int:
         var_method=ns.var_method,
         truncation_band=ns.truncation_band,
     )
-    _emit(clt_experiment(_experiment_overrides(ns, config)).to_json(), ns.out)
+    config = _experiment_overrides(ns, config)
+    if config.replications < 2:  # the library calls this a data error; here it is a flag
+        raise ParameterError(f"clt needs --reps >= 2 (KS is undefined), got {config.replications}")
+    _emit(clt_experiment(config).to_json(), ns.out)
     return 0
 
 

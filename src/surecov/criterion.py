@@ -38,9 +38,9 @@ table times the sums.
 All sums are read off one layout, ``band[i, d] = s[i, i+d]`` for d < tau_max
 (0 where i + d >= p): ``S1`` and the cross sums ``sum_{|i-j|=d} s_ij sigma_ij``
 are column sums of two bands' product (:func:`_sums`), ``S2`` comes from the
-diagonal ``band[:, 0]``.  :func:`~surecov.estimate._band` reads the band off a
-dense matrix; :func:`~surecov.estimate.band_gram` computes band and total from
-the data rows for ``surecov select`` and every replication.  It forms the MLE
+diagonal ``band[:, 0]``.  :func:`~surecov.estimate._band` reads band and
+total off a dense matrix, :func:`~surecov.estimate.band_gram` off the data
+rows for ``surecov select`` and every replication.  It forms the MLE
 only where that costs fewer multiply-adds than products of column blocks,
 ``p <= n + 2 (256 + tau_max)``, so memory stays O(n p + p tau_max).
 
@@ -58,7 +58,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import WeightScheme, _band, _check_tau, frob_sq_dist, taper, unbiased_cov
+from .estimate import WeightScheme, _band, _check_tau, taper
 from .model import Matrix, _is_int
 
 __all__ = [
@@ -153,8 +153,7 @@ def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
     Off-diagonal distances count both triangles.
     """
-    m = np.asarray(sigma, dtype=np.float64)
-    s1, s2 = _band_sums(_band(m, len(m)), np.einsum("ij,ij->", m, m))
+    s1, s2 = _band_sums(*_band(sigma, len(sigma)))
     return s1[:-1], s2[:-1]
 
 
@@ -228,9 +227,7 @@ def sure_profile(
     Ties are broken toward the smallest tau (the most parsimonious estimate).
     """
     grid = _check_grid(tau_grid)
-    s = np.asarray(sigma_tilde, dtype=np.float64)
-    frob_sq = np.einsum("ij,ij->", s, s)
-    return sure_profile_from_band(_band(s, max(grid)), frob_sq, consts, scheme, grid)
+    return sure_profile_from_band(*_band(sigma_tilde, max(grid)), consts, scheme, grid)
 
 
 def sure_profile_from_band(
@@ -272,7 +269,10 @@ def sure_eq2_reference(
     if consts.n < 4:
         raise DataError(f"the criterion requires n >= 4, got n={consts.n}")
     s = np.asarray(sigma_tilde, dtype=np.float64)
-    fit = frob_sq_dist(taper(s, scheme, tau), unbiased_cov(s, consts.n))
+    diff = (taper(s, scheme, tau) - s * consts.gamma).ravel()
+    # einsum, not diff @ diff: a BLAS ddot this long goes multi-threaded, which
+    # on a small host costs far more than the sum itself
+    fit = float(np.einsum("i,i->", diff, diff))
     vhat = consts.gamma * (consts.a_n * s**2 + consts.b_n * np.outer(np.diagonal(s), np.diagonal(s)))
     penalty = consts.c * (1.0 / consts.gamma) * float(np.sum(taper(vhat, scheme, tau)))
     return fit - float(np.sum(vhat)) + penalty

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
-from .errors import DataError, ParameterError
+from .errors import ParameterError
 from .model import Dataset, Matrix, _is_int, _toeplitz
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "taper",
     "mle_cov",
     "band_gram",
-    "unbiased_cov",
-    "frob_sq_dist",
 ]
 
 
@@ -147,8 +145,8 @@ def _past_end(k: int) -> NDArray[np.bool_]:
     return mask
 
 
-def _band(m: Matrix, dmax: int) -> Matrix:
-    """The band of a dense symmetric ``m`` in :func:`band_gram`'s layout.
+def _band(m: Matrix, dmax: int) -> tuple[Matrix, float]:
+    """The band of a dense symmetric ``m`` in :func:`band_gram`'s layout, and ``||m||_F^2``.
 
     ``band[i, d] = m[i, i + d]`` for ``d < dmax``, and 0 where ``i + d >= p``.
     Rows ``0 .. p-2`` come from one skewed view of C-contiguous memory, whose
@@ -162,7 +160,7 @@ def _band(m: Matrix, dmax: int) -> Matrix:
     band[p - 1, 0] = m[p - 1, p - 1]
     band[:, w:] = 0.0
     band[p - w :, :w][_past_end(w)] = 0.0
-    return band
+    return band, float(np.einsum("ij,ij->", m, m))
 
 
 def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
@@ -179,8 +177,7 @@ def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
     + n^2 p / 2.  Either way memory is O(n p + p dmax).
     """
     if data.p <= data.n + 2 * (_BLOCK + dmax):
-        s = mle_cov(data)
-        return _band(s, dmax), float(np.einsum("ij,ij->", s, s))
+        return _band(mle_cov(data), dmax)
     centered = _centered(data)
     n, p = centered.shape
     band = np.empty((p, dmax))
@@ -194,27 +191,8 @@ def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
     return band, float(np.einsum("ij,ij->", gram, gram)) / n**2
 
 
-def unbiased_cov(sigma_tilde: Matrix, n: int) -> Matrix:
-    """Rescale the MLE to the unbiased sample covariance ``n/(n-1) * Sigma_tilde``."""
-    if n < 3:
-        raise DataError(f"need n >= 3, got n={n}")
-    return np.asarray(sigma_tilde, dtype=np.float64) * (n / (n - 1))
-
-
 def taper(sigma_tilde: Matrix, scheme: WeightScheme, tau: int) -> Matrix:
     """The tapered estimate ``w o sigma_tilde``: ``out[i,j] = sigma_tilde[i,j] * w(tau,|i-j|)``."""
     sigma_tilde = np.asarray(sigma_tilde, dtype=np.float64)
     p = sigma_tilde.shape[0]
     return sigma_tilde * _toeplitz(scheme.weights(tau, p), p)
-
-
-def frob_sq_dist(a: Matrix, b: Matrix) -> float:
-    """Squared Frobenius distance ``sum_ij (a_ij - b_ij)**2`` over all p^2 entries."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = (a - b).ravel()
-    # einsum, not diff @ diff: a BLAS ddot this long goes multi-threaded, which
-    # on a small host costs far more than the sum itself
-    return float(np.einsum("i,i->", diff, diff))

@@ -222,8 +222,7 @@ class _ExperimentContext:
         self.grid = _Grid(config.scheme, config.tau_grid() if grid is None else grid, config.n)
         self.cmap = config.resolved_c()
         self.consts = {k: sure_constants(config.n, c) for k, c in self.cmap.items()}
-        self.sig_sq = float(np.einsum("ij,ij->", self.sigma, self.sigma))
-        self.sigma_band = _band(self.sigma, self.grid.dmax)
+        self.sigma_band, self.sig_sq = _band(self.sigma, self.grid.dmax)
         self.w_sq = self.grid.w**2
 
     def sums(self, rep_index: int):
@@ -391,6 +390,20 @@ def _single_c(config: ExperimentConfig) -> tuple[str, float]:
     return next(iter(cmap.items()))
 
 
+def _var_method(model: CovModel, method: str | None, band: int | None) -> tuple[str, int | None]:
+    """``method`` and ``band`` as given; with no method, ``exact`` up to
+    ``VAR_EXACT_CAP``, then ``banded-truncated`` at the model's bandwidth."""
+    if method is not None or model.p <= VAR_EXACT_CAP:
+        return ("exact" if method is None else method), band
+    bw = model_bandwidth(model)
+    if bw is None:
+        raise ParameterError(
+            f"cannot pick a var_n method automatically at p={model.p}: "
+            "pass var_method='banded-truncated' with a truncation_band"
+        )
+    return "banded-truncated", bw
+
+
 def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Standardize SURE_c(tau) at a fixed tau and test empirical normality.
 
@@ -405,21 +418,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise DataError("clt experiment needs >= 2 replications (KS undefined)")
     (tau,) = _check_grid((config.tau_fixed,))
     ckey, c = _single_c(config)
-    p = config.p
-
-    method = config.var_method
-    band = config.truncation_band
-    if method is None:
-        bw = model_bandwidth(config.model)
-        if p <= VAR_EXACT_CAP:
-            method = "exact"
-        elif bw is not None:
-            method, band = "banded-truncated", bw
-        else:
-            raise ParameterError(
-                f"cannot pick a var_n method automatically at p={p}: "
-                "pass var_method='banded-truncated' with a truncation_band"
-            )
+    method, band = _var_method(config.model, config.var_method, config.truncation_band)
     ctx = _ExperimentContext(config, (tau,))
     approx = var_n(ctx.sigma, config.n, config.scheme, tau, c, method=method, truncation_band=band)
     risk = risk_profile(ctx.sigma, config.n, config.scheme, c, (tau,)).values[0]
@@ -521,8 +520,7 @@ def oracle_ratio_experiment(config: ExperimentConfig) -> ExperimentReport:
         "ratio": ratio,
         "ratio_half_width": (1.96 * se / oracle["min_risk"]) if se is not None else None,
     }
-    meta = _meta(t0, report.meta["threads"])
-    return ExperimentReport(config=config.echo(), results=results, meta=meta)
+    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
 
 
 def consistency_experiment(config: ExperimentConfig, n_list: list[int] | None = None) -> ExperimentReport:

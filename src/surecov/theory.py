@@ -159,9 +159,8 @@ def risk_profile(
     if n < 4:
         raise DataError(f"risk profile requires n >= 4, got n={n}")
     sure_constants(n, c)  # checks c
-    sigma = np.asarray(sigma, dtype=np.float64)
     grid = _Grid(scheme, default_tau_grid(len(sigma), n) if tau_grid is None else tau_grid, n)
-    t1, t2 = _band_sums(_band(sigma, grid.dmax), np.einsum("ij,ij->", sigma, sigma))
+    t1, t2 = _band_sums(*_band(sigma, grid.dmax))
     w = grid.w
     # f1(0) = 1 counts the tail bin's sigma_ij^2 in full; f2(0) = 0
     f1 = (n - 1) / n * w**2 - (2 * n - c) / n * w + 1.0

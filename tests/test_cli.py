@@ -794,6 +794,23 @@ def test_risk_with_var_infeasible_p(capsys):
     assert "banded-truncated" in capsys.readouterr().err
 
 
+def test_risk_with_var_picks_the_method_as_clt_does(capsys):
+    # above the exact cap a banded model gets banded-truncated at its bandwidth
+    argv = ["risk", "--model", "banded-uniform", "--k0", "3", "--p", "100", "--n", "30",
+            "--tau-max", "6", "--with-var"]
+    assert main(argv) == 0
+    auto = capsys.readouterr().out
+    assert main(argv + ["--var-method", "banded-truncated", "--truncation-band", "3"]) == 0
+    assert auto == capsys.readouterr().out
+
+
+def test_clt_with_one_replication_is_a_usage_error(capsys):
+    code = main(["clt", "--model", "banded-uniform", "--p", "10", "--n", "20", "--tau", "2",
+                 "--reps", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: clt needs --reps >= 2 (KS is undefined), got 1\n"
+
+
 def test_simulate_csv_format(capsys):
     code = main(["simulate", "--model", "ar-decay", "--rho", "0.5", "--p", "10",
                  "--n", "30", "--replications", "3", "--format", "csv"])

@@ -82,7 +82,7 @@ def test_per_distance_sums_match_diagonal_loop(seed, p):
     total = float(np.sum(a * b))
     scale = float(np.sum(np.abs(a * b)))
     for dmax in range(1, p + 2):
-        got = _sums(_band(a, dmax), _band(b, dmax), total)
+        got = _sums(_band(a, dmax)[0], _band(b, dmax)[0], total)
         assert got == pytest.approx(_diagonal_loop(a, b, dmax), rel=1e-12, abs=1e-13 * scale)
 
 
@@ -101,7 +101,9 @@ def test_band_of_strided_input_matches_indexing(seed, p):
     wide[:, 1 : p + 1] = full
     for m in (full, full[::-1, ::-1], np.asfortranarray(full), wide[:, 1 : p + 1]):
         for dmax in range(1, p + 2):
-            assert np.array_equal(_band(m, dmax), _band_by_index(m, dmax))
+            band, frob_sq = _band(m, dmax)
+            assert np.array_equal(band, _band_by_index(m, dmax))
+            assert frob_sq == pytest.approx(np.sum(m * m), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

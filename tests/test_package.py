@@ -15,11 +15,11 @@ EXPORTS = [
     "ReplicationRecord", "RiskProfile", "SureConstants", "SurecovError",
     "VarApprox", "WeightScheme", "band_gram", "band_sums", "build_sigma", "cholesky_factor",
     "clt_experiment", "coeffs", "consistency_experiment", "default_tau_grid", "derive_seed",
-    "exact_sure_variance", "frob_sq_dist", "isserlis_moment", "ks_statistic", "mle_cov",
+    "exact_sure_variance", "isserlis_moment", "ks_statistic", "mle_cov",
     "model_bandwidth", "normal_cdf", "oracle_ratio_experiment", "profile_values",
     "rate_experiment", "risk_profile", "run_experiment", "run_replication", "sample_dataset",
     "sure_constants", "sure_eq2_reference", "sure_profile", "sure_profile_from_band",
-    "table1_config", "table2_config", "taper", "unbiased_cov", "var_n", "var_profile",
+    "table1_config", "table2_config", "taper", "var_n", "var_profile",
 ]
 
 
