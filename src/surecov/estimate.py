@@ -117,14 +117,23 @@ def _check_tau(tau: int) -> None:
         raise ParameterError(f"tau must be a positive integer, got {tau!r}")
 
 
-def _centered(data: Dataset) -> Matrix:
-    return data.rows - data.rows.mean(axis=0)
+def _buf(ws: dict | None, key: str, shape: tuple[int, ...]) -> Matrix:
+    """Uninitialised ``ws[key]``, new unless it has ``shape``; always new if ``ws`` is None."""
+    if ws is not None and (key not in ws or ws[key].shape != shape):
+        ws[key] = np.empty(shape)
+    return np.empty(shape) if ws is None else ws[key]
 
 
-def mle_cov(data: Dataset) -> Matrix:
+def _centered(data: Dataset, ws: dict | None = None) -> Matrix:
+    rows = data.rows
+    return np.subtract(rows, rows.mean(axis=0), out=_buf(ws, "centred", rows.shape))
+
+
+def mle_cov(data: Dataset, _ws: dict | None = None) -> Matrix:
     """Maximum likelihood covariance ``(1/n) sum (X_k - Xbar)(X_k - Xbar)^T``."""
-    centered = _centered(data)
-    return centered.T @ centered / data.n  # numpy runs X'X as syrk: exactly symmetric
+    centered = _centered(data, _ws)
+    s = np.matmul(centered.T, centered, out=_buf(_ws, "s", (data.p, data.p)))  # syrk: symmetric
+    return np.divide(s, data.n, out=s)
 
 
 # columns per BLAS product in band_gram
@@ -145,7 +154,7 @@ def _past_end(k: int) -> NDArray[np.bool_]:
     return mask
 
 
-def _band(m: Matrix, dmax: int) -> tuple[Matrix, float]:
+def _band(m: Matrix, dmax: int, ws: dict | None = None) -> tuple[Matrix, float]:
     """The band of a dense symmetric ``m`` in :func:`band_gram`'s layout, and ``||m||_F^2``.
 
     ``band[i, d] = m[i, i + d]`` for ``d < dmax``, and 0 where ``i + d >= p``.
@@ -155,7 +164,7 @@ def _band(m: Matrix, dmax: int) -> tuple[Matrix, float]:
     m = np.ascontiguousarray(m, dtype=np.float64)
     p = m.shape[0]
     w = min(dmax, p)
-    band = np.empty((p, dmax))
+    band = _buf(ws, "band", (p, dmax))
     band[: p - 1, :w] = _skew(m, p - 1, w)
     band[p - 1, 0] = m[p - 1, p - 1]
     band[:, w:] = 0.0
@@ -163,7 +172,7 @@ def _band(m: Matrix, dmax: int) -> tuple[Matrix, float]:
     return band, float(np.einsum("ij,ij->", m, m))
 
 
-def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
+def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix, float]:
     """The band of ``s = mle_cov(data)`` and ``||s||_F^2``.
 
     ``band[i, d] = s[i, i + d]`` for ``d < dmax``, and 0 where ``i + d >= p``.
@@ -175,19 +184,23 @@ def band_gram(data: Dataset, dmax: int) -> tuple[Matrix, float]:
     block and the ``dmax - 1`` columns after it, and takes the total from the
     n x n gram, ``||s||_F^2 = ||X_c X_c^T||_F^2 / n^2``: n p (_BLOCK + dmax)
     + n^2 p / 2.  Either way memory is O(n p + p dmax).
+    ``_ws`` holds arrays (the band returned among them) that a call fills for the next to reuse.
     """
     if data.p <= data.n + 2 * (_BLOCK + dmax):
-        return _band(mle_cov(data), dmax)
-    centered = _centered(data)
+        return _band(mle_cov(data, _ws), dmax, _ws)
+    centered = _centered(data, _ws)
     n, p = centered.shape
-    band = np.empty((p, dmax))
+    band = _buf(_ws, "band", (p, dmax))
+    # past column p, zero columns keep the skewed view in bounds
+    block = _buf(_ws, "block", (_BLOCK, _BLOCK + dmax - 1))
     for b0 in range(0, p, _BLOCK):
         b1 = min(b0 + _BLOCK, p)
-        block = centered[:, b0:b1].T @ centered[:, b0 : b1 + dmax - 1] / n
-        # past column p, zero columns keep the skewed view in bounds
-        block = np.pad(block, ((0, 0), (0, b1 + dmax - 1 - b0 - block.shape[1])))
+        e = min(b1 + dmax - 1, p)
+        np.matmul(centered[:, b0:b1].T, centered[:, b0:e], out=block[: b1 - b0, : e - b0])
+        block[: b1 - b0, : e - b0] /= n
+        block[: b1 - b0, e - b0 :] = 0.0
         band[b0:b1] = _skew(block, b1 - b0, dmax)
-    gram = centered @ centered.T
+    gram = np.matmul(centered, centered.T, out=_buf(_ws, "gram", (n, n)))
     return band, float(np.einsum("ij,ij->", gram, gram)) / n**2
 
 

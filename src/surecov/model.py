@@ -11,12 +11,15 @@ matrices:
 * ``Explicit(matrix)``: any symmetric matrix with positive diagonal.
 
 Sampling is deterministic given ``(sigma, n, seed)`` and uses a counter-based
-generator so that parallel replication order can never change the draws.
+generator so that parallel replication order can never change the draws.  Rows
+are ``z @ L.T`` for normals ``z`` and sigma's Cholesky factor ``L``; experiments
+draw ``ArDecay`` by its AR(1) recurrence, the same map with no p x p factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -227,16 +230,38 @@ def _rng_for_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _draw_rows(chol: Matrix, n: int, seed: int) -> Matrix:
-    z = _rng_for_seed(seed).standard_normal((n, chol.shape[0]))
-    return z @ chol.T
+_AR_BLOCK = 33  # columns per product in _ar_rows, the first shared with the block before
+
+
+@lru_cache(maxsize=16)
+def _ar_factor(rho: float) -> Matrix:
+    """Read-only ``L[:_AR_BLOCK, :_AR_BLOCK].T`` for ``ArDecay(rho)``'s Cholesky factor ``L``."""
+    k = np.arange(_AR_BLOCK)
+    f = np.triu(np.float64(rho) ** np.abs(np.subtract.outer(k, k)))
+    f[1:] *= np.sqrt(1.0 - rho * rho)
+    f.flags.writeable = False
+    return f
+
+
+def _ar_rows(z: Matrix, rho: float, out: Matrix) -> Matrix:
+    """``out = z @ L.T`` for ``ArDecay(rho)`` up to rounding, by ``x_0 = z_0``, ``x_j = rho x_{j-1}
+    + sqrt(1 - rho^2) z_j``: blocks of columns times :func:`_ar_factor`, each but the first
+    starting from the ``x`` column before it, copied over ``z`` (so ``z`` is overwritten)."""
+    f = _ar_factor(rho)
+    b, p = len(f), z.shape[1]
+    np.matmul(z[:, :b], f[:p, :p], out=out[:, :b])  # slices stop at p
+    for j in range(b - 1, p - 1, b - 1):
+        e = min(j + b, p)
+        z[:, j] = out[:, j]
+        np.matmul(z[:, j:e], f[: e - j, : e - j], out=out[:, j:e])
+    return out
 
 
 def sample_dataset(sigma: Matrix, n: int, seed: int, chol: Matrix | None = None) -> Dataset:
     """Draw ``n`` i.i.d. rows from N(0, sigma), deterministically in ``seed``.
 
-    ``chol`` may carry a precomputed lower Cholesky factor of ``sigma`` to
-    avoid refactorizing inside replication loops.
+    ``chol`` may carry sigma's lower Cholesky factor, to skip refactorizing; the
+    rows are ``z @ chol.T`` for every model (experiments draw ``ArDecay`` by :func:`_ar_rows`).
     """
     if n < 3:
         raise DataError(f"need n >= 3 observations, got n={n}")
@@ -245,4 +270,5 @@ def sample_dataset(sigma: Matrix, n: int, seed: int, chol: Matrix | None = None)
         raise ParameterError(f"sigma must be square, got shape {sigma.shape}")
     if chol is None:
         chol = cholesky_factor(sigma)
-    return Dataset(rows=_draw_rows(chol, n, seed), seed=seed)
+    z = _rng_for_seed(seed).standard_normal((n, chol.shape[0]))
+    return Dataset(rows=z @ chol.T, seed=seed)

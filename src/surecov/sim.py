@@ -35,7 +35,7 @@ from .criterion import (
     sure_constants,
 )
 from .errors import DataError, ParameterError
-from .estimate import Banding, WeightScheme, _band, band_gram
+from .estimate import Banding, WeightScheme, _band, _buf, band_gram
 from .model import (
     ArDecay,
     BandedUniform,
@@ -43,8 +43,9 @@ from .model import (
     Dataset,
     Explicit,
     PolyDecay,
-    _draw_rows,
+    _ar_rows,
     _is_int,
+    _rng_for_seed,
     build_sigma,
     cholesky_factor,
     model_bandwidth,
@@ -212,26 +213,35 @@ class ReplicationRecord:
 
 
 class _ExperimentContext:
-    """Shared per-experiment precomputation (factorization done once), over
-    ``grid`` or else the config's tau grid."""
+    """Shared per-experiment precomputation (Sigma, its band, its Cholesky factor but for
+    ``ArDecay``, each worker's arrays), over ``grid`` or else the config's tau grid."""
 
     def __init__(self, config: ExperimentConfig, grid=None):
         self.config = config
         self.sigma = build_sigma(config.model)
-        self.chol = cholesky_factor(self.sigma)
+        self.chol = None if isinstance(config.model, ArDecay) else cholesky_factor(self.sigma)
         self.grid = _Grid(config.scheme, config.tau_grid() if grid is None else grid, config.n)
         self.cmap = config.resolved_c()
         self.consts = {k: sure_constants(config.n, c) for k, c in self.cmap.items()}
         self.sigma_band, self.sig_sq = _band(self.sigma, self.grid.dmax)
         self.w_sq = self.grid.w**2
+        self.local = threading.local()  # per worker thread: its rows and band_gram's arrays
 
     def sums(self, rep_index: int):
-        """``(seed, band, s1, s2)`` of one replication: its seed, the band of its
-        draw's MLE to the grid's ``dmax`` by ``band_gram``, and its band sums."""
-        cfg = self.config
+        """``(seed, band, s1, s2)`` of one replication: its seed, the band of its draw's MLE
+        to the grid's ``dmax`` by ``band_gram`` (this worker's array, reused), its band sums."""
+        cfg, ws = self.config, vars(self.local)
+        if "data" not in ws:  # this worker's first replication
+            ws["data"] = Dataset(rows=np.empty((cfg.n, cfg.p)))
+        data = ws["data"]
         seed = derive_seed(cfg.base_seed, rep_index)
-        rows = _draw_rows(self.chol, cfg.n, seed)
-        band, frob_sq = band_gram(Dataset(rows=rows), self.grid.dmax)
+        # band_gram centres into the normals' array once they are drawn
+        z = _rng_for_seed(seed).standard_normal(out=_buf(ws, "centred", data.rows.shape))
+        if self.chol is None:
+            _ar_rows(z, cfg.model.rho, data.rows)
+        else:
+            np.matmul(z, self.chol.T, out=data.rows)
+        band, frob_sq = band_gram(data, self.grid.dmax, ws)
         s1, s2 = _band_sums(band, frob_sq)
         return seed, band, s1, s2
 
@@ -242,13 +252,9 @@ class _ExperimentContext:
         # loss(tau) = sum_d w^2 S1(d) - 2 w X(d) + T(d), all per-distance sums
         loss_curve = self.w_sq @ s1 - 2.0 * (self.grid.w @ cross) + self.sig_sq
 
-        taus = self.grid.taus
-        tau_hat: dict[str, int] = {}
-        loss: dict[str, float] = {}
-        for key, consts in self.consts.items():
-            t = _smallest_argmin(taus, self.grid.sure(s1, s2, consts))
-            tau_hat[key] = t
-            loss[key] = float(loss_curve[taus.index(t)])
+        taus, sure = self.grid.taus, self.grid.sure
+        tau_hat = {k: _smallest_argmin(taus, sure(s1, s2, c)) for k, c in self.consts.items()}
+        loss = {k: float(loss_curve[taus.index(t)]) for k, t in tau_hat.items()}
         return ReplicationRecord(
             rep_index=rep_index, seed=seed, tau_hat=tau_hat, loss=loss, loss_curve=loss_curve
         )
@@ -326,7 +332,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationReco
     """One replication, deterministic in (config, rep_index).
 
     Prefer :func:`run_experiment` for many replications: this convenience
-    entry refactorizes the model covariance on every call.
+    entry rebuilds Sigma and its factor (if any) on every call.
     """
     ctx = _ExperimentContext(config)
     return _map_ordered(lambda _: ctx.replicate(rep_index), 1, 1)[0]  # BLAS as in run_experiment

@@ -10,6 +10,9 @@ from surecov.model import (
     Dataset,
     Explicit,
     PolyDecay,
+    _AR_BLOCK,
+    _ar_rows,
+    _rng_for_seed,
     build_sigma,
     cholesky_factor,
     model_bandwidth,
@@ -110,6 +113,20 @@ def test_sampling_deterministic_in_seed():
     assert not np.array_equal(a.rows, c.rows)
     assert a.rows.shape == (10, 6)
     assert a.seed == 123
+
+
+@pytest.mark.parametrize("p", [1, 7, _AR_BLOCK, _AR_BLOCK + 1, 500, 513])
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.7, 0.95])
+def test_ar_recurrence_is_the_cholesky_draw(rho, p):
+    """The AR(1) recurrence maps normals to the rows ``z @ L.T`` gives, to
+    1e-13 relative, whether or not p is a multiple of the block; at rho = 0
+    it returns the normals themselves."""
+    z = _rng_for_seed(p).standard_normal((9, p))
+    expected = z @ cholesky_factor(build_sigma(ArDecay(rho=rho, p=p))).T
+    rows = _ar_rows(z.copy(), rho, np.empty_like(z))
+    assert np.max(np.abs(rows - expected)) <= 1e-13 * np.max(np.abs(expected))
+    if rho == 0.0:
+        assert np.array_equal(rows, z)
 
 
 def test_sampling_matches_target_covariance():

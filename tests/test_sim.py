@@ -5,13 +5,14 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from surecov.criterion import sure_constants, sure_profile
+from surecov.criterion import _band_sums, sure_constants, sure_profile
 from surecov.errors import DataError, ParameterError
-from surecov.estimate import Banding, mle_cov, taper
+from surecov.estimate import _BLOCK, Banding, CzzTaper, band_gram, mle_cov, taper
 from surecov.model import (
     ArDecay,
     BandedUniform,
@@ -19,6 +20,7 @@ from surecov.model import (
     Explicit,
     PolyDecay,
     build_sigma,
+    cholesky_factor,
     sample_dataset,
 )
 from surecov.sim import (
@@ -470,18 +472,83 @@ def test_clt_banded_truncated_above_the_exact_cap():
 
 
 def test_wide_replication_makes_no_p_by_p_array():
-    """At p >> n a replication reads its band from the rows: the context's
-    Sigma and Cholesky factor are the only p x p arrays."""
+    """An ArDecay context draws by its AR(1) recurrence, so it builds no
+    Cholesky factor and Sigma is its only p x p array; at p >> n a replication
+    reads its band from the rows and makes none."""
     p = 4000
-    ctx = _ExperimentContext(ExperimentConfig(model=ArDecay(rho=0.5, p=p), n=30, replications=1))
     tracemalloc.start()
     try:
+        ctx = _ExperimentContext(ExperimentConfig(model=ArDecay(rho=0.5, p=p), n=30, replications=1))
+        setup_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         record = ctx.replicate(0)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    assert ctx.chol is None
+    assert setup_peak < 1.25 * p * p * 8  # Sigma, and no second p x p array
     assert peak < p * p * 8 / 4  # a quarter of one p x p float64 array
     assert math.isfinite(record.loss["2"])
+
+
+def _explicit_band_model(p):
+    """An ``Explicit`` covariance with bandwidth 3 and unequal entries."""
+    d = np.arange(p)
+    m = np.diag(1.0 + 0.1 * np.cos(d))
+    for k, value in ((1, 0.25), (2, -0.1)):
+        off = value * (1.0 + 0.2 * np.sin(d[:-k]))
+        m += np.diag(off, k) + np.diag(off, -k)
+    return Explicit(m)
+
+
+# p > n + 2 (_BLOCK + dmax) takes band_gram's blocked branch (dmax = n here)
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (PolyDecay(rho=0.6, alpha=0.5, p=40), 30),
+        (BandedUniform(k0=3, offdiag=0.3, p=40), 30),
+        (_explicit_band_model(40), 30),
+        (PolyDecay(rho=0.6, alpha=0.5, p=20 + 2 * (_BLOCK + 20) + 5), 20),
+        (BandedUniform(k0=4, offdiag=0.2, p=20 + 2 * (_BLOCK + 20) + 30), 20),
+        (_explicit_band_model(20 + 2 * (_BLOCK + 20) + 1), 20),
+    ],
+)
+def test_worker_arrays_give_the_public_chain_bit_for_bit(model, n):
+    """A context's replication chain, filling one worker's arrays again and
+    again, gives the band and band sums of the public calls exactly."""
+    cfg = ExperimentConfig(model=model, n=n, scheme=CzzTaper(), replications=3, base_seed=17)
+    ctx = _ExperimentContext(cfg)
+    sigma = build_sigma(model)
+    chol = cholesky_factor(sigma)
+    for rep_index in (0, 1, 2, 0):
+        seed, band, s1, s2 = ctx.sums(rep_index)
+        data = sample_dataset(sigma, n, seed, chol=chol)
+        ref_band, frob_sq = band_gram(data, ctx.grid.dmax)
+        ref_s1, ref_s2 = _band_sums(ref_band, frob_sq)
+        assert np.array_equal(band, ref_band)
+        assert np.array_equal(s1, ref_s1) and np.array_equal(s2, ref_s2)
+
+
+def test_payload_bytes_identical_across_pools_with_worker_arrays():
+    """Every pool size gives the same bytes on band_gram's blocked branch and
+    on an ArDecay clt run, with more workers than cores switching often."""
+    blocked = ExperimentConfig(
+        model=PolyDecay(rho=0.6, alpha=0.5, p=20 + 2 * (_BLOCK + 20) + 5), n=20,
+        c_values=(2.0, "logn"), replications=9, base_seed=23,
+    )
+    ar_clt = ExperimentConfig(
+        model=ArDecay(rho=0.5, p=40), n=20, c_values=(2.0,), replications=40,
+        base_seed=29, kind="clt", tau_fixed=3,
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cfg, runner in ((blocked, run_experiment), (ar_clt, clt_experiment)):
+            payloads = {runner(replace(cfg, threads=t)).payload_bytes() for t in (1, 2, 3, 8)}
+            assert len(payloads) == 1, cfg.kind
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_wide_clt_matches_the_formed_mle():

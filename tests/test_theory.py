@@ -359,7 +359,7 @@ def test_exact_sure_variance_caps():
 def test_exact_sure_variance_monte_carlo_cross_check():
     """The moment-expansion variance matches a simulated Var(SURE)."""
     from surecov.criterion import band_sums, profile_values, sure_constants
-    from surecov.model import cholesky_factor, _draw_rows
+    from surecov.model import cholesky_factor, sample_dataset
 
     sigma = np.array([[1.0, 0.4], [0.4, 1.0]])
     n, tau, c, reps = 12, 1, 2.0, 40_000
@@ -368,7 +368,7 @@ def test_exact_sure_variance_monte_carlo_cross_check():
     consts = sure_constants(n, c)
     values = np.empty(reps)
     for r in range(reps):
-        rows = _draw_rows(chol, n, r)
+        rows = sample_dataset(sigma, n, r, chol=chol).rows
         centered = rows - rows.mean(axis=0)
         s = centered.T @ centered / n
         s1, s2 = band_sums((s + s.T) / 2)
