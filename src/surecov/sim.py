@@ -443,7 +443,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         "risk": float(risk),
         "var_n": approx.value,
         "var_method": method,
-        "truncation_band": band,
+        "truncation_band": approx.truncation_band,
         "standardized_mean": float(np.mean(sample)),
         "standardized_var": float(np.var(sample, ddof=1)),
         "ks_distance": ks_statistic(sample),

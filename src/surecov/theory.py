@@ -42,18 +42,18 @@ for ``|i-j| >= tau``, which the computation relies on):
     + 4(n-2)^3/n^4   * sum Abar_ij Abar_st s_ij s_st (s_is s_jt + s_it s_js)
     + 8(n-2)^2/n^4   * sum Abar_ij Bbar_st s_ij (s_ss s_it s_jt + s_tt s_is s_js)
 
-(``s`` = sigma here).  All terms except one contraction inside the second sum
-reduce to matrix products; the remaining genuinely quartic contraction is an
-O(p^4) loop (capped at p = 64).  For sigma banded at width k, ``Abar =
-alpha0 11^T + T`` with ``alpha0 = Abar(w = 0) = gamma^2 - a_n gamma`` and ``T``,
-like ``Bbar``, Toeplitz and zero from distance tau on, so each product is a
-rank-one part plus banded ones.  On band storage, whose rows are the
-diagonals, a banded product with a Toeplitz factor is a sum of shifted rows
-with per-tau coefficients.  The tau-independent part (sigma's 2k-1
-diagonals, ``M = sigma o sigma``, ``r = M 1`` and the quartic term's
-per-offset grams) is done once, in O(p k^3) time; then the grid, sorted and
-cut into chunks whose temporaries hold about 2^19 entries (or one tau), costs
-O(|grid| p k (k + tau_max)) time and O(p (k + tau_max)) memory.
+(``s`` = sigma here).  For sigma banded at width k (``method="exact"`` takes
+k = p), ``Abar = alpha0 11^T + T`` with ``alpha0 = Abar(w = 0) = gamma^2 -
+a_n gamma`` and ``T``, like ``Bbar``, Toeplitz and zero from distance tau on,
+so each product is a rank-one part plus banded ones.  On band storage, whose
+rows are the diagonals, a banded product with a Toeplitz factor is one matrix
+product of a per-tau Toeplitz stack with the band.  The tau-independent part
+(sigma's 2k-1 diagonals, ``M = sigma o sigma``, ``r = M 1``, the diagonal
+sums of the quartic term's per-offset grams, and the traces and diagonals
+that PS and SP reduce to) is done once, in O(p k^3) time; then the grid,
+sorted and cut into chunks whose temporaries hold about 2^19 entries (or one
+tau), costs O(|grid| p k (k + tau_max)) time and O(p (k + tau_max)) memory.
+So ``method="exact"`` costs O(p^4) once plus O(|grid| p^3).
 
 Oracles
 -------
@@ -72,6 +72,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .criterion import (
@@ -79,7 +80,7 @@ from .criterion import (
 )
 from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, _band
-from .model import Matrix, _is_int, _toeplitz
+from .model import Matrix, _is_int
 
 __all__ = [
     "CoeffSet",
@@ -94,7 +95,8 @@ __all__ = [
     "VAR_EXACT_CAP",
 ]
 
-#: largest p for which the exact O(p^4) variance sum is attempted
+#: largest p for ``method="exact"``, the band path at band = p: O(p^4) once
+#: plus O(|grid| p^3)
 VAR_EXACT_CAP = 64
 
 
@@ -179,15 +181,6 @@ class VarApprox:
     truncation_band: int | None = None
 
 
-def _quartic_contraction_dense(amat: Matrix, s: Matrix) -> float:
-    # sum_ijst A_ij A_st s_is s_it s_js s_jt, O(p^4) via one GEMM per row i
-    total = 0.0
-    for i in range(s.shape[0]):
-        mi = s * s[i]  # mi[j, t] = s_jt * s_it
-        total += float(amat[i] @ np.sum((mi @ amat) * mi, axis=1))
-    return total
-
-
 # Band storage: a (2h-1, p) array x holds the entries (i, i+e), |e| < h, of a
 # p x p matrix at x[e+h-1, i], with 0 where i+e falls outside the matrix.  Its
 # rows are the diagonals, so a product with a Toeplitz factor is a sum of
@@ -198,7 +191,7 @@ def _shifts(v: NDArray[np.float64], width: int) -> NDArray[np.float64]:
     # band-storage layout of v along its last axis: [..., a, i] holds
     # v[..., i + a - width // 2], 0 outside
     pad = [(0, 0)] * (v.ndim - 1) + [(width // 2, width // 2)]
-    return np.lib.stride_tricks.sliding_window_view(np.pad(v, pad), v.shape[-1], axis=-1)
+    return sliding_window_view(np.pad(v, pad), v.shape[-1], axis=-1)
 
 
 def _symmetric(coef: NDArray[np.float64], h: int) -> NDArray[np.float64]:
@@ -206,18 +199,16 @@ def _symmetric(coef: NDArray[np.float64], h: int) -> NDArray[np.float64]:
     return np.concatenate([coef[:, h - 1 : 0 : -1], coef[:, :h]], axis=1)
 
 
-def _toeplitz_products(coef: NDArray[np.float64], basis) -> NDArray[np.float64]:
-    # band storage, per tau, of a product with one Toeplitz factor whose
-    # diagonals coef holds (see _symmetric): the sum over the columns a of coef
-    # of coef[:, a] times the (w, p) band basis(a), placed from row a on
-    g, wx = coef.shape
-    out = None
-    for a in range(wx):
-        term = basis(a)
-        if out is None:
-            out = np.zeros((g, wx + len(term) - 1, term.shape[1]))
-        out[:, a : a + len(term)] += coef[:, a, None, None] * term
-    return out
+def _transposed(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    # band storage of the transposes, 0 where they leave the matrix:
+    # [t, d, i] = x[t, rows-1-d, i + d - rows//2].  The reversed rows go into
+    # zeroed lines of p + rows - 1 entries at rows//2; read back with lines one
+    # entry longer, row d starts d entries further on
+    g, rows, p = x.shape
+    line = p + rows - 1
+    buf = np.zeros((g, rows * (line + 1)))
+    buf[:, : rows * line].reshape(g, rows, line)[:, :, rows // 2 : rows // 2 + p] = x[:, ::-1]
+    return buf.reshape(g, rows, line + 1)[:, :, :p]
 
 
 def _total(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -226,18 +217,19 @@ def _total(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return x.reshape(len(x), -1).sum(axis=1)
 
 
-# entries of one (tau, row, p) temporary for a chunk of the grid; a chunk holds
-# at least one tau, so one tau at any width still fits
+# entries of the largest (tau, row, column) temporary for a chunk of the grid; a
+# chunk holds at least one tau, so one tau at any width still fits
 _CHUNK_ENTRIES = 1 << 19
 
 
 def _grid_chunks(taus: tuple[int, ...], p: int, k: int):
-    # the grid's indices by increasing tau, in runs whose temporaries, about
-    # 2 min(tau, p) + 4k rows of p per tau at the run's largest tau, hold at most
-    # _CHUNK_ENTRIES entries
+    # the grid's indices by increasing tau, in runs whose _transposed buffers,
+    # rows (p + rows) entries per tau with rows = min(2 tau + 2k - 3, 2p - 1) at
+    # the run's largest tau, hold at most _CHUNK_ENTRIES entries
     run: list[int] = []
     for i in sorted(range(len(taus)), key=taus.__getitem__):
-        if run and (len(run) + 1) * (2 * min(taus[i], p) + 4 * k) * p > _CHUNK_ENTRIES:
+        rows = min(2 * taus[i] + 2 * k - 3, 2 * p - 1)
+        if run and (len(run) + 1) * rows * (p + rows) > _CHUNK_ENTRIES:
             yield run
             run = []
         run.append(i)
@@ -252,22 +244,41 @@ def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, tau
     p = sigma.shape[0]
     k = min(band, p)
     w = 2 * k - 1
+    reach = min(w, p)  # offsets 0 .. reach-1 of the products of two bands
     alpha0 = float(coeffs(n, c, 0.0).Abar)
     cols = np.arange(p) + np.arange(1 - k, k)[:, None]
     s = np.where((cols >= 0) & (cols < p), sigma[np.arange(p), cols % p], 0.0)
     m = s * s
     r = m.sum(axis=0)
     suffix = np.cumsum(r[::-1])[::-1]  # suffix[j] = r_j + ... + r_{p-1}
-    spad = np.pad(s, ((0, 0), (k - 1, k - 1)))
     # quartic sum_ij Abar_ij v_ij' Abar v_ij with v_ij = s_i. o s_j., which lives
     # on the 2k-1 columns around i and vanishes for |i-j| > 2k-2: per offset e,
-    # Abar_e <Ablock, G_e> with G_e the gram of the v_ij with j = i + e; by
-    # symmetry in (i, j) each e > 0 counts twice
-    grams = []
-    for e in range(min(w, p)):
+    # Abar_e <Ablock, G_e> with G_e the gram of the v_ij with j = i + e, a sum
+    # over the distances d of Abar_d times the d-th diagonals of G_e; by symmetry
+    # each e > 0 and each d > 0 counts twice.
+    # PS and SP, with P = Abar o sigma, are linear in the Abar_ij of the band:
+    # with P_a the a-th diagonal of sigma alone and F_a = P_a sigma,
+    # tr(PSPS) = sum_ab Abar_a Abar_b tr(F_a F_b) and diag(SPS) = sum_a Abar_a
+    # diag(sigma F_a).  lines[w-1+x, i, a] = F_a[i, i+x], from one window view
+    spad = np.pad(s, ((w - 1, w - 1), (k - 1, k - 1)))
+    lines = np.diagonal(sliding_window_view(spad, (2 * w - 1, p))[::-1], axis1=0, axis2=1)
+    quart = np.empty((reach, w))
+    trace_ff = np.zeros((w, w))
+    diag_sf = np.zeros((p, w))
+    for e in range(reach):
         ve = s[e:, : p - e] * s[: w - e, e:]
-        grams.append(ve @ ve.T)
-    block = _toeplitz(np.arange(w), w)
+        quart[e] = _band(ve @ ve.T, w)[0].sum(axis=0)
+        fwd = lines[w - 1 + e, : p - e] * s.T[: p - e]  # F_a[i, i+e]
+        back = lines[w - 1 - e, e:] * s.T[e:]  # F_a[j, j-e]
+        prod = fwd.T @ back
+        trace_ff += prod + prod.T if e else prod
+        if e < k:
+            diag_sf[: p - e] += s[k - 1 + e, : p - e, None] * back
+            if e:
+                diag_sf[e:] += s[k - 1 - e, e:, None] * fwd
+    quart[1:] *= 2.0
+    quart[:, 1:] *= 2.0
+    del spad, lines
 
     def chunk_terms(chunk):
         h = min(max(chunk), p)  # T and Bbar vanish from distance tau on
@@ -275,54 +286,30 @@ def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, tau
         # u_j = sum_i Bbar_ij s_ii
         u = np.einsum("ta,ai->ti", _symmetric(cs.Bbar[:, :h], h), _shifts(s[k - 1], 2 * h - 1))
         bb = _total(u * np.einsum("ai,tai->ti", m, _shifts(u, w)))
-        # sum Abar o (M Abar M) = tr(Abar M Abar M) = sum_ij (Abar M)_ij (M Abar)_ij
-        # with Abar M = alpha0 1r' + TM, r = M1: entrywise where TM has its band,
-        # alpha0^2 r_i r_j beyond.  Expanding the square into alpha0^2 (1'r)^2 +
-        # 2 alpha0 r'Tr + tr(TMTM) would cancel wherever Abar is near 0 in the band.
-        tcoef = _symmetric(cs.Abar[:, :h] - alpha0, h)
-        mpad = np.pad(m, ((0, 0), (h - 1, h - 1)))
-        tm = _toeplitz_products(tcoef, lambda a: mpad[:, a : a + p])
-        tm += alpha0 * _shifts(r, tm.shape[1])
-        mt = _toeplitz_products(tcoef, lambda a: m)
-        mt += alpha0 * r
-        tm *= mt
-        del mt
-        far = suffix[tm.shape[1] // 2 + 1 :]  # r_j summed beyond the band
-        a_mam = _total(tm) + 2.0 * alpha0**2 * (r[: far.size] @ far)
-        del tm
-        # P = Abar o sigma, so PS and SP sum the products of sigma's band with its
-        # shifted columns or rows, one per distance of P
+        # sum Abar o (M Abar M) = tr(Abar M Abar M) = sum_ij X_ij X_ji with
+        # X = M Abar = MT + alpha0 r1', r = M1: entrywise where MT has its band,
+        # offsets up to half = min(h + k - 2, p - 1), alpha0^2 r_i r_j beyond.  Expanding
+        # the square into alpha0^2 (1'r)^2 + 2 alpha0 r'Tr + tr(TMTM) would cancel
+        # wherever Abar is near 0 in the band.  Row d of MT is the product of
+        # row d of a Toeplitz stack of T's diagonals with M's band
+        half = min(h + k - 2, p - 1)
+        tpad = np.pad(_symmetric(cs.Abar[:, :h] - alpha0, h), ((0, 0), (w - 1, w - 1)))
+        toep = sliding_window_view(tpad, w, axis=1)[:, h + k - 2 - half : h + k - 1 + half, ::-1]
+        x = toep @ m
+        x += alpha0 * r
+        x *= _transposed(x)
+        far = suffix[half + 1 :]  # r_j summed beyond the band
+        a_mam = _total(x) + 2.0 * alpha0**2 * (r[: far.size] @ far)
         acoef = _symmetric(cs.Abar[:, :k], k)
-        ps = _toeplitz_products(acoef, lambda a: s[a] * spad[:, a : a + p])
-        sp = _toeplitz_products(acoef, lambda a: s * _shifts(s[a], w))
-        ab = _total(u * np.einsum("tai,ai->ti", sp[:, k - 1 : 3 * k - 2], s))  # u' diag(S P S)
-        ps *= sp
-        cross = _total(ps)
-        ablock = cs.Abar[:, block]
-        quartic = np.zeros(len(chunk))
-        for e, gram in enumerate(grams):
-            inner = np.einsum("tab,ab->t", ablock[:, : w - e, : w - e], gram)
-            quartic += (1.0 if e == 0 else 2.0) * cs.Abar[:, e] * inner
+        cross = np.einsum("ta,ab,tb->t", acoef, trace_ff, acoef)
+        ab = np.einsum("ti,ia,ta->t", u, diag_sf, acoef)  # u' diag(S P S)
+        quartic = np.einsum("te,ed,td->t", cs.Abar[:, :reach], quart, cs.Abar[:, :w])
         return bb, a_mam, quartic, cross, ab
 
     terms = np.empty((5, len(taus)))
     for chunk in _grid_chunks(taus, p, k):
         terms[:, chunk] = chunk_terms([taus[i] for i in chunk])
     return terms
-
-
-def _var_terms_dense(s: Matrix, n: int, c: float, scheme: WeightScheme, tau: int):
-    p = s.shape[0]
-    cs = coeffs(n, c, scheme.weights(tau, p))
-    avec, bvec = cs.Abar, cs.Bbar
-    amat, bmat = _toeplitz(avec, p), _toeplitz(bvec, p)
-    u = bmat @ np.diagonal(s)  # u_j = sum_i Bbar_ij s_ii
-    msq = s * s
-    pmat = amat * s
-    sps = s @ pmat @ s
-    a_mam = np.sum(amat * (msq @ amat @ msq))
-    quartic = _quartic_contraction_dense(amat, s)
-    return u @ msq @ u, a_mam, quartic, np.sum(pmat * sps), u @ np.diagonal(sps)
 
 
 def var_profile(
@@ -336,14 +323,15 @@ def var_profile(
 ) -> NDArray[np.float64]:
     """The four-term variance approximation at every tau of ``tau_grid``.
 
-    ``method="exact"`` performs the full quadruple sum per tau (p capped at
-    ``VAR_EXACT_CAP``).  ``method="banded-truncated"`` treats ``sigma`` as
-    exactly zero outside ``|i-j| < truncation_band`` (a band wider than p
-    keeps all of it); this is lossless when ``sigma`` really is banded with
-    bandwidth <= truncation_band and an approximation otherwise.  It works on
-    band storage: for band k it does the tau-independent part once, in
-    O(p k^3) time, then O(|grid| p k (k + tau_max)) for the whole grid, in
-    chunks of the sorted grid that keep memory at O(p (k + tau_max)).
+    ``method="banded-truncated"`` treats ``sigma`` as exactly zero outside
+    ``|i-j| < truncation_band`` (a band wider than p keeps all of it); this is
+    lossless when ``sigma`` really is banded with bandwidth <= truncation_band
+    and an approximation otherwise.  It works on band storage: for band k it
+    does the tau-independent part once, in O(p k^3) time, then
+    O(|grid| p k (k + tau_max)) for the whole grid, in chunks of the sorted
+    grid that keep memory at O(p (k + tau_max)).  ``method="exact"`` is this
+    path at ``truncation_band = p`` (p capped at ``VAR_EXACT_CAP``): O(p^4)
+    once plus O(|grid| p^3).
     """
     if n < 4:
         raise DataError(f"var_n requires n >= 4, got n={n}")
@@ -356,15 +344,15 @@ def var_profile(
                 f"exact var_n is O(p^4) and capped at p={VAR_EXACT_CAP}; "
                 f"got p={p} -- use method='banded-truncated' with a truncation band"
             )
-        terms = np.array([_var_terms_dense(sigma, n, c, scheme, t) for t in taus]).T
+        band = p
     elif method == "banded-truncated":
         if not (_is_int(truncation_band) and truncation_band >= 1):
             raise ParameterError("banded-truncated var_n needs an integer truncation_band >= 1")
-        terms = _var_terms_banded(sigma, n, c, scheme, taus, int(truncation_band))
+        band = int(truncation_band)
     else:
         raise ParameterError(f"unknown var_n method {method!r}")
 
-    bb, a_mam, quartic, cross, ab = terms
+    bb, a_mam, quartic, cross, ab = _var_terms_banded(sigma, n, c, scheme, taus, band)
     n4 = float(n) ** 4
     # the four summands, each contracted by symmetry of the coefficient
     # matrices under (i<->j), (s<->t) relabeling

@@ -845,6 +845,19 @@ def test_clt_command(capsys):
     assert report["results"]["ks_distance"] < 0.3
 
 
+def test_clt_reports_the_truncation_band_it_used(capsys):
+    # exact ignores a given band, so it reports none
+    argv = ["clt", "--model", "banded-uniform", "--k0", "2", "--p", "10", "--n", "24",
+            "--tau", "2", "--reps", "3", "--truncation-band", "3", "--var-method"]
+    assert main(argv + ["exact"]) == 0
+    exact = json.loads(capsys.readouterr().out)["results"]
+    assert (exact["var_method"], exact["truncation_band"]) == ("exact", None)
+    assert main(argv + ["banded-truncated"]) == 0
+    banded = json.loads(capsys.readouterr().out)["results"]
+    assert (banded["var_method"], banded["truncation_band"]) == ("banded-truncated", 3)
+    assert banded["var_n"] == pytest.approx(exact["var_n"], rel=1e-12)  # k0 = 2 <= 3
+
+
 def test_table_presets_via_cli(tmp_path, capsys):
     code = main(["table1", "model2-r05", "--fast", "--reps", "3"])
     assert code == 0

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from surecov.errors import DataError, NumericalError, ParameterError
 from surecov.estimate import Banding, CustomToeplitz, CzzTaper, taper
-from surecov.model import BandedUniform, build_sigma
+from surecov.model import ArDecay, BandedUniform, _toeplitz, build_sigma
 from surecov.theory import (
     VAR_EXACT_CAP,
     coeffs,
@@ -145,6 +145,29 @@ def _var_n_brute_force(sigma, n, scheme, tau, c):
     return total
 
 
+def _var_n_dense(sigma, n, scheme, tau, c):
+    """The quadruple sum on dense p x p matrices, O(p^4): the oracle for the
+    band-storage path, fast enough to check it at the exact cap."""
+    p = sigma.shape[0]
+    cs = coeffs(n, c, scheme.weights(tau, p))
+    amat, bmat = _toeplitz(cs.Abar, p), _toeplitz(cs.Bbar, p)
+    u = bmat @ np.diagonal(sigma)  # u_j = sum_i Bbar_ij s_ii
+    msq = sigma * sigma
+    pmat = amat * sigma
+    sps = sigma @ pmat @ sigma
+    quartic = 0.0  # sum_ijst A_ij A_st s_is s_it s_js s_jt, one GEMM per row i
+    for i in range(p):
+        mi = sigma * sigma[i]  # mi[j, t] = s_jt * s_it
+        quartic += float(amat[i] @ np.sum((mi @ amat) * mi, axis=1))
+    n4 = float(n) ** 4
+    return (
+        8.0 * (n - 2) / n4 * (u @ msq @ u)
+        + 2.0 * (n - 1) * (n - 2) / n4 * (2.0 * np.sum(amat * (msq @ amat @ msq)) + 2.0 * quartic)
+        + 8.0 * (n - 2) ** 3 / n4 * np.sum(pmat * sps)
+        + 16.0 * (n - 2) ** 2 / n4 * (u @ np.diagonal(sps))
+    )
+
+
 def test_var_n_frozen_value():
     approx = var_n(np.eye(2), 5, Banding(), 1, 2.0)
     assert approx.value == pytest.approx(1612 / 3375, rel=1e-13)
@@ -168,7 +191,7 @@ def test_var_n_matches_brute_force(scheme, tau, c):
 def test_var_n_truncation_lossless_on_banded_sigma():
     sigma = build_sigma(BandedUniform(k0=3, offdiag=0.3, p=30))
     n = 50
-    exact = var_n(sigma, n, Banding(), 4, 2.0).value
+    exact = _var_n_dense(sigma, n, Banding(), 4, 2.0)
     truncated = var_n(
         sigma, n, Banding(), 4, 2.0, method="banded-truncated", truncation_band=3
     ).value
@@ -202,9 +225,21 @@ def test_var_n_banded_equals_exact_on_truncated_sigma(data, p, seed, c):
     sigma = root @ root.T / p + 0.5 * np.eye(p)
     n = 30
     banded = var_n(sigma, n, scheme, tau, c, method="banded-truncated", truncation_band=band)
-    dense = var_n(taper(sigma, Banding(), band), n, scheme, tau, c)
-    assert banded.value == pytest.approx(dense.value, rel=1e-12)
+    dense = _var_n_dense(taper(sigma, Banding(), band), n, scheme, tau, c)
+    assert banded.value == pytest.approx(dense, rel=1e-12)
     assert banded.truncation_band == band
+
+
+@pytest.mark.parametrize("scheme", [Banding(), CzzTaper()])
+def test_exact_var_profile_at_the_cap_is_the_dense_sum_and_the_full_band(scheme):
+    p = VAR_EXACT_CAP
+    sigma = build_sigma(ArDecay(rho=0.5, p=p))
+    grid = range(1, p + 1)
+    exact = var_profile(sigma, 100, scheme, grid, 2.0, "exact")
+    full_band = var_profile(sigma, 100, scheme, grid, 2.0, "banded-truncated", p)
+    assert exact.tobytes() == full_band.tobytes()
+    for tau, value in zip(grid, exact):
+        assert value == pytest.approx(_var_n_dense(sigma, 100, scheme, tau, 2.0), rel=1e-12)
 
 
 def test_var_n_banded_allocates_no_p_by_p_array():
@@ -238,7 +273,7 @@ def test_var_profile_is_exact_var_n_of_the_truncation_at_every_tau(data, p, seed
     truncated = taper(sigma, Banding(), band)
     assert values.shape == (len(grid),)
     for tau, value in zip(grid, values):
-        assert value == pytest.approx(var_n(truncated, n, scheme, tau, c).value, rel=1e-12)
+        assert value == pytest.approx(_var_n_dense(truncated, n, scheme, tau, c), rel=1e-12)
 
 
 @pytest.mark.parametrize("method, band", [("exact", None), ("banded-truncated", 3)])
@@ -277,7 +312,7 @@ def test_var_profile_in_chunks_is_exact_var_n_of_the_truncation(monkeypatch, ent
     values = var_profile(sigma, n, CzzTaper(), grid, 2.5, "banded-truncated", band)
     truncated = taper(sigma, Banding(), band)
     for tau, value in zip(grid, values):
-        assert value == pytest.approx(var_n(truncated, n, CzzTaper(), tau, 2.5).value, rel=1e-12)
+        assert value == pytest.approx(_var_n_dense(truncated, n, CzzTaper(), tau, 2.5), rel=1e-12)
 
 
 def test_var_profile_over_a_full_grid_needs_the_memory_of_its_largest_tau():
