@@ -34,9 +34,10 @@ import numpy as np
 
 from .criterion import default_tau_grid, resolve_c, sure_constants, sure_profile_from_band
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import Banding, CzzTaper, WeightScheme, band_gram
-from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay, build_sigma
+from .estimate import Banding, CzzTaper, WeightScheme, _sigma_band, band_gram
+from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay
 from .sim import (
+    _ONE_BLAS_THREAD,
     ExperimentConfig,
     _var_method,
     clt_experiment,
@@ -47,7 +48,7 @@ from .sim import (
     table2_config,
     TABLE1_VARIANTS,
 )
-from .theory import risk_profile, var_profile
+from .theory import _risk_profile, _var_profile
 
 __all__ = ["main", "read_matrix_csv", "load_config_file"]
 
@@ -458,14 +459,12 @@ def cmd_risk(ns: argparse.Namespace) -> int:
     _default(ns, "c", 2.0)
     c = resolve_c(ns.c, ns.n)
     scheme = scheme_from_name(ns.scheme)
-    sigma = build_sigma(model)
     grid = default_tau_grid(model.p, ns.n, ns.tau_max)
-    profile = risk_profile(sigma, ns.n, scheme, c, grid)
-
-    var = None
-    if ns.with_var:
-        method, band = _var_method(model, ns.var_method, ns.truncation_band)
-        var = var_profile(sigma, ns.n, scheme, profile.tau_grid, c, method, band)
+    k = _var_method(model, ns.var_method, ns.truncation_band)[2] if ns.with_var else 0
+    band, frob_sq = _sigma_band(model, max(grid[-1], k))
+    with _ONE_BLAS_THREAD:  # as in replications
+        profile = _risk_profile(band, frob_sq, ns.n, scheme, c, grid)
+        var = _var_profile(band[:, :k], ns.n, scheme, grid, c) if k else None
     lines = ["tau,risk" if var is None else "tau,risk,var_n"]
     for i, (t, r) in enumerate(zip(profile.tau_grid, profile.values)):
         line = f"{t},{_format_float(r)}"

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .errors import ParameterError
-from .model import Dataset, Matrix, _is_int, _toeplitz
+from .model import CovModel, Dataset, Explicit, Matrix, _is_int, _toeplitz, _toeplitz_vals
 
 __all__ = [
     "Banding",
@@ -170,6 +170,21 @@ def _band(m: Matrix, dmax: int, ws: dict | None = None) -> tuple[Matrix, float]:
     band[:, w:] = 0.0
     band[p - w :, :w][_past_end(w)] = 0.0
     return band, float(np.einsum("ij,ij->", m, m))
+
+
+def _sigma_band(model: CovModel, width: int) -> tuple[Matrix, float]:
+    """``_band(build_sigma(model), width)`` without forming Sigma for a Toeplitz model
+    ``sigma_ij = v[|i-j|]``: ``band[i, d] = v[d]`` where ``i + d < p``, else 0, and
+    ``||Sigma||_F^2 = sum_d (2 - [d = 0]) (p - d) v_d^2``.  ``Explicit`` reads its matrix."""
+    if isinstance(model, Explicit):
+        return _band(model.matrix, width)
+    v, p = _toeplitz_vals(model), model.p
+    w = min(width, p)
+    band = np.zeros((p, width))
+    band[:, :w] = v[:w]
+    band[p - w :, :w][_past_end(w)] = 0.0
+    sq = np.arange(p, 0, -1) * (v * v)  # (p - d) v_d^2
+    return band, float(2.0 * sq.sum() - sq[0])
 
 
 def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix, float]:

@@ -10,6 +10,10 @@ matrices:
   ``unit_diagonal=True`` to force ones instead.
 * ``Explicit(matrix)``: any symmetric matrix with positive diagonal.
 
+The first three are Toeplitz, ``sigma_ij = v[|i-j|]``: ``risk``, ``clt`` and experiments
+read their band and ``||Sigma||_F^2`` from ``v`` (``estimate._sigma_band``), and
+:func:`build_sigma`'s p x p matrix serves the Cholesky draw and the dense public API.
+
 Sampling is deterministic given ``(sigma, n, seed)`` and uses a counter-based
 generator so that parallel replication order can never change the draws.  Rows
 are ``z @ L.T`` for normals ``z`` and sigma's Cholesky factor ``L``; experiments
@@ -161,6 +165,11 @@ def build_sigma(model: CovModel) -> Matrix:
     """
     if isinstance(model, Explicit):
         return model.matrix.copy()
+    return _toeplitz(_toeplitz_vals(model), model.p)
+
+
+def _toeplitz_vals(model: CovModel) -> NDArray[np.float64]:
+    """The p values ``v`` with ``sigma_ij = v[|i-j|]`` of a Toeplitz model."""
     d = np.arange(model.p)
     if isinstance(model, PolyDecay):
         with np.errstate(divide="ignore"):
@@ -173,7 +182,7 @@ def build_sigma(model: CovModel) -> Matrix:
         vals[0] = 1.0 if model.unit_diagonal else 1.0 + model.offdiag
     else:
         raise ParameterError(f"unknown covariance model: {model!r}")
-    return _toeplitz(vals, model.p)
+    return vals
 
 
 def _toeplitz(vals: NDArray[np.float64], p: int) -> Matrix:

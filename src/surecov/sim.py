@@ -35,7 +35,7 @@ from .criterion import (
     sure_constants,
 )
 from .errors import DataError, ParameterError
-from .estimate import Banding, WeightScheme, _band, _buf, band_gram
+from .estimate import Banding, WeightScheme, _buf, _sigma_band, band_gram
 from .model import (
     ArDecay,
     BandedUniform,
@@ -50,7 +50,7 @@ from .model import (
     cholesky_factor,
     model_bandwidth,
 )
-from .theory import VAR_EXACT_CAP, risk_profile, var_n
+from .theory import VAR_EXACT_CAP, _risk_profile, _var_profile, _var_width
 
 __all__ = [
     "ExperimentConfig",
@@ -213,17 +213,17 @@ class ReplicationRecord:
 
 
 class _ExperimentContext:
-    """Shared per-experiment precomputation (Sigma, its band, its Cholesky factor but for
-    ``ArDecay``, each worker's arrays), over ``grid`` or else the config's tau grid."""
+    """Shared per-experiment precomputation over ``grid``, or else the config's tau grid: Sigma's
+    band to its ``dmax`` (or to ``width`` if wider) and ``||Sigma||_F^2`` by ``_sigma_band``, the
+    Cholesky factor but for ``ArDecay`` (a dense Sigma's one use, not kept), worker arrays."""
 
-    def __init__(self, config: ExperimentConfig, grid=None):
-        self.config = config
-        self.sigma = build_sigma(config.model)
-        self.chol = None if isinstance(config.model, ArDecay) else cholesky_factor(self.sigma)
+    def __init__(self, config: ExperimentConfig, grid=None, width: int = 0):
+        self.config, model = config, config.model
+        self.chol = None if isinstance(model, ArDecay) else cholesky_factor(build_sigma(model))
         self.grid = _Grid(config.scheme, config.tau_grid() if grid is None else grid, config.n)
         self.cmap = config.resolved_c()
         self.consts = {k: sure_constants(config.n, c) for k, c in self.cmap.items()}
-        self.sigma_band, self.sig_sq = _band(self.sigma, self.grid.dmax)
+        self.sigma_band, self.sig_sq = _sigma_band(model, max(self.grid.dmax, width))
         self.w_sq = self.grid.w**2
         self.local = threading.local()  # per worker thread: its rows and band_gram's arrays
 
@@ -332,7 +332,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationReco
     """One replication, deterministic in (config, rep_index).
 
     Prefer :func:`run_experiment` for many replications: this convenience
-    entry rebuilds Sigma and its factor (if any) on every call.
+    entry rebuilds Sigma's band and its factor (if any) on every call.
     """
     ctx = _ExperimentContext(config)
     return _map_ordered(lambda _: ctx.replicate(rep_index), 1, 1)[0]  # BLAS as in run_experiment
@@ -381,7 +381,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     curve = np.vstack([r.loss_curve for r in records])
     results["mean_loss_by_tau"] = [float(v) for v in curve.mean(axis=0)]
-    oracle = risk_profile(ctx.sigma, config.n, config.scheme, 2.0, ctx.grid.taus)
+    oracle = _risk_profile(ctx.sigma_band, ctx.sig_sq, config.n, config.scheme, 2.0, ctx.grid.taus)
     results["oracle"] = {
         "tau": oracle.oracle_tau,
         "min_risk": oracle.min_value(),
@@ -396,18 +396,18 @@ def _single_c(config: ExperimentConfig) -> tuple[str, float]:
     return next(iter(cmap.items()))
 
 
-def _var_method(model: CovModel, method: str | None, band: int | None) -> tuple[str, int | None]:
-    """``method`` and ``band`` as given; with no method, ``exact`` up to
-    ``VAR_EXACT_CAP``, then ``banded-truncated`` at the model's bandwidth."""
-    if method is not None or model.p <= VAR_EXACT_CAP:
-        return ("exact" if method is None else method), band
-    bw = model_bandwidth(model)
-    if bw is None:
-        raise ParameterError(
-            f"cannot pick a var_n method automatically at p={model.p}: "
-            "pass var_method='banded-truncated' with a truncation_band"
-        )
-    return "banded-truncated", bw
+def _var_method(model: CovModel, method: str | None, band: int | None):
+    """``(method, band, width of Sigma's band that var_n reads)``: as given; with no method,
+    ``exact`` up to ``VAR_EXACT_CAP``, then ``banded-truncated`` at the model's bandwidth."""
+    if method is None and model.p > VAR_EXACT_CAP:
+        method, band = "banded-truncated", model_bandwidth(model)
+        if band is None:
+            raise ParameterError(
+                f"cannot pick a var_n method automatically at p={model.p}: "
+                "pass var_method='banded-truncated' with a truncation_band"
+            )
+    method = "exact" if method is None else method
+    return method, band, _var_width(model.p, method, band)
 
 
 def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -424,11 +424,11 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise DataError("clt experiment needs >= 2 replications (KS undefined)")
     (tau,) = _check_grid((config.tau_fixed,))
     ckey, c = _single_c(config)
-    method, band = _var_method(config.model, config.var_method, config.truncation_band)
-    ctx = _ExperimentContext(config, (tau,))
-    approx = var_n(ctx.sigma, config.n, config.scheme, tau, c, method=method, truncation_band=band)
-    risk = risk_profile(ctx.sigma, config.n, config.scheme, c, (tau,)).values[0]
-    scale = math.sqrt(approx.value)
+    method, band, k = _var_method(config.model, config.var_method, config.truncation_band)
+    ctx = _ExperimentContext(config, (tau,), k)
+    var = float(_var_profile(ctx.sigma_band[:, :k], config.n, config.scheme, (tau,), c)[0])
+    risk = _risk_profile(ctx.sigma_band, ctx.sig_sq, config.n, config.scheme, c, (tau,)).values[0]
+    scale = math.sqrt(var)
     consts = ctx.consts[ckey]
 
     def one(rep_index: int) -> float:
@@ -441,9 +441,9 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         "c_key": ckey,
         "tau": tau,
         "risk": float(risk),
-        "var_n": approx.value,
+        "var_n": var,
         "var_method": method,
-        "truncation_band": approx.truncation_band,
+        "truncation_band": int(band) if method == "banded-truncated" else None,
         "standardized_mean": float(np.mean(sample)),
         "standardized_var": float(np.var(sample, ddof=1)),
         "ks_distance": ks_statistic(sample),
@@ -551,16 +551,14 @@ def consistency_experiment(config: ExperimentConfig, n_list: list[int] | None = 
         exact = hist_logn.get(str(k0), 0) / reps
         window_hi = k0 + math.ceil(math.log(n))
         in_window = sum(v for t, v in hist_sure2.items() if k0 <= int(t) <= window_hi) / reps
-        per_n.append(
-            {
-                "n": n,
-                "frac_logn_equals_k0": exact,
-                "frac_sure2_in_window": in_window,
-                "window": [k0, window_hi],
-                "histogram_logn": hist_logn,
-                "histogram_sure2": hist_sure2,
-            }
-        )
+        per_n.append({
+            "n": n,
+            "frac_logn_equals_k0": exact,
+            "frac_sure2_in_window": in_window,
+            "window": [k0, window_hi],
+            "histogram_logn": hist_logn,
+            "histogram_sure2": hist_sure2,
+        })
     results = {"k0": k0, "per_n": per_n}
     return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
 

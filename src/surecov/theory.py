@@ -1,6 +1,9 @@
 """Exact population quantities for the criterion: risk, variance, moment oracles.
 
 Everything here is a deterministic function of the true covariance ``Sigma``.
+Risk and variance read only its band (to tau_max or the truncation band) and
+``||Sigma||_F^2``: each public function takes them off a dense ``Sigma`` by ``estimate._band``
+for a core that the CLI and experiments call on a model's band (``estimate._sigma_band``).
 
 Risk
 ----
@@ -158,11 +161,17 @@ def risk_profile(
 
     The oracle tau is the smallest grid point attaining the minimum.
     """
+    taus = _check_grid(default_tau_grid(len(sigma), n) if tau_grid is None else tau_grid)
+    return _risk_profile(*_band(sigma, max(taus)), n, scheme, c, taus)
+
+
+def _risk_profile(band: Matrix, frob_sq: float, n: int, scheme, c: float, tau_grid) -> RiskProfile:
+    """:func:`risk_profile` of the sigma with this band, ``max(tau_grid)`` or wider, and total."""
     if n < 4:
         raise DataError(f"risk profile requires n >= 4, got n={n}")
     sure_constants(n, c)  # checks c
-    grid = _Grid(scheme, default_tau_grid(len(sigma), n) if tau_grid is None else tau_grid, n)
-    t1, t2 = _band_sums(*_band(sigma, grid.dmax))
+    grid = _Grid(scheme, tau_grid, n)
+    t1, t2 = _band_sums(band[:, : grid.dmax], frob_sq)
     w = grid.w
     # f1(0) = 1 counts the tail bin's sigma_ij^2 in full; f2(0) = 0
     f1 = (n - 1) / n * w**2 - (2 * n - c) / n * w + 1.0
@@ -236,18 +245,21 @@ def _grid_chunks(taus: tuple[int, ...], p: int, k: int):
     yield run
 
 
-def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, taus, band: int):
-    # the sums var_n combines at every tau of the grid, on band storage (see
-    # the module docstring); sigma is read only inside the band, clamped to p.
-    # The tau-independent part is done once, then the grid in chunks, each with
-    # its largest tau as the width of its Toeplitz factors
-    p = sigma.shape[0]
-    k = min(band, p)
+def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np.float64]:
+    """:func:`var_profile` of the sigma with this band, whose width k <= p is the truncation
+    band, on band storage (see the module docstring): the tau-independent part once, then the
+    grid in chunks, each with its largest tau as the width of its Toeplitz factors."""
+    if n < 4:
+        raise DataError(f"var_n requires n >= 4, got n={n}")
+    taus = _check_grid(tau_grid)
+    p, k = band.shape
     w = 2 * k - 1
     reach = min(w, p)  # offsets 0 .. reach-1 of the products of two bands
     alpha0 = float(coeffs(n, c, 0.0).Abar)
-    cols = np.arange(p) + np.arange(1 - k, k)[:, None]
-    s = np.where((cols >= 0) & (cols < p), sigma[np.arange(p), cols % p], 0.0)
+    s = np.zeros((w, p))  # s[k-1+e, i] = sigma[i, i+e], 0 outside
+    s[k - 1 :] = band.T
+    for e in range(1, k):
+        s[k - 1 - e, e:] = band[: p - e, e]
     m = s * s
     r = m.sum(axis=0)
     suffix = np.cumsum(r[::-1])[::-1]  # suffix[j] = r_j + ... + r_{p-1}
@@ -309,7 +321,20 @@ def _var_terms_banded(sigma: Matrix, n: int, c: float, scheme: WeightScheme, tau
     terms = np.empty((5, len(taus)))
     for chunk in _grid_chunks(taus, p, k):
         terms[:, chunk] = chunk_terms([taus[i] for i in chunk])
-    return terms
+    bb, a_mam, quartic, cross, ab = terms
+    n4 = float(n) ** 4
+    # the four summands, each contracted by symmetry of the coefficient
+    # matrices under (i<->j), (s<->t) relabeling
+    values = (
+        8.0 * (n - 2) / n4 * bb
+        + 2.0 * (n - 1) * (n - 2) / n4 * (2.0 * a_mam + 2.0 * quartic)
+        + 8.0 * (n - 2) ** 3 / n4 * cross
+        + 16.0 * (n - 2) ** 2 / n4 * ab
+    )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(f"var_n at tau={taus[bad[0]]} is not finite: the covariance overflows")
+    return values
 
 
 def var_profile(
@@ -331,43 +356,27 @@ def var_profile(
     O(|grid| p k (k + tau_max)) for the whole grid, in chunks of the sorted
     grid that keep memory at O(p (k + tau_max)).  ``method="exact"`` is this
     path at ``truncation_band = p`` (p capped at ``VAR_EXACT_CAP``): O(p^4)
-    once plus O(|grid| p^3).
+    once plus O(|grid| p^3).  Either way only sigma's band to the truncation
+    band is read; ``risk`` and ``clt`` pass a model's band without forming sigma.
     """
-    if n < 4:
-        raise DataError(f"var_n requires n >= 4, got n={n}")
-    sigma = np.asarray(sigma, dtype=np.float64)
-    p = sigma.shape[0]
-    taus = _check_grid(tau_grid)
+    k = _var_width(len(sigma), method, truncation_band)
+    return _var_profile(_band(sigma, k)[0], n, scheme, tau_grid, c)
+
+
+def _var_width(p: int, method: str, truncation_band: int | None) -> int:
+    """Sigma's band width ``method`` reads: p for exact (capped), else the truncation band <= p."""
     if method == "exact":
         if p > VAR_EXACT_CAP:
             raise ParameterError(
                 f"exact var_n is O(p^4) and capped at p={VAR_EXACT_CAP}; "
                 f"got p={p} -- use method='banded-truncated' with a truncation band"
             )
-        band = p
-    elif method == "banded-truncated":
+        return p
+    if method == "banded-truncated":
         if not (_is_int(truncation_band) and truncation_band >= 1):
             raise ParameterError("banded-truncated var_n needs an integer truncation_band >= 1")
-        band = int(truncation_band)
-    else:
-        raise ParameterError(f"unknown var_n method {method!r}")
-
-    bb, a_mam, quartic, cross, ab = _var_terms_banded(sigma, n, c, scheme, taus, band)
-    n4 = float(n) ** 4
-    # the four summands, each contracted by symmetry of the coefficient
-    # matrices under (i<->j), (s<->t) relabeling
-    values = (
-        8.0 * (n - 2) / n4 * bb
-        + 2.0 * (n - 1) * (n - 2) / n4 * (2.0 * a_mam + 2.0 * quartic)
-        + 8.0 * (n - 2) ** 3 / n4 * cross
-        + 16.0 * (n - 2) ** 2 / n4 * ab
-    )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NumericalError(
-            f"var_n at tau={taus[bad[0]]} is not finite: the covariance overflows"
-        )
-    return values
+        return min(int(truncation_band), p)
+    raise ParameterError(f"unknown var_n method {method!r}")
 
 
 def var_n(

@@ -32,6 +32,7 @@ from surecov.criterion import default_tau_grid, sure_constants, sure_profile
 from surecov.errors import DataError, ParameterError
 from surecov.estimate import Banding, CzzTaper, mle_cov, taper
 from surecov.model import ArDecay, BandedUniform, Dataset, build_sigma, sample_dataset
+from surecov.theory import risk_profile, var_profile
 
 
 def _write_csv(path, rows, header=None):
@@ -802,6 +803,41 @@ def test_risk_with_var_picks_the_method_as_clt_does(capsys):
     auto = capsys.readouterr().out
     assert main(argv + ["--var-method", "banded-truncated", "--truncation-band", "3"]) == 0
     assert auto == capsys.readouterr().out
+
+
+def test_risk_with_var_at_p_much_larger_than_n_makes_no_p_by_p_array(capsys):
+    p = 20000
+    argv = ["risk", "--with-var", "--model", "banded-uniform", "--k0", "5", "--p", str(p),
+            "--n", "250", "--tau-max", "8"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < p * p * 8 / 4  # a quarter of one p x p float64 array
+    assert capsys.readouterr().out.splitlines()[-1] == "# oracle_tau = 5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k0", "3", "--p", "40", "--n", "50", "--scheme", "czz"],  # exact var_n
+    ["--k0", "4", "--p", "300", "--n", "100", "--tau-max", "12", "--unit-diagonal"],
+    ["--k0", "5", "--p", "1000", "--n", "250", "--scheme", "czz", "--tau-max", "8",
+     "--var-method", "banded-truncated", "--truncation-band", "5"],
+])
+def test_risk_table_of_a_banded_model_is_the_dense_public_api_byte_for_byte(capsys, argv):
+    assert main(["risk", "--model", "banded-uniform", "--with-var", *argv]) == 0
+    out = capsys.readouterr().out
+    ns = parse_args(["risk", "--model", "banded-uniform", *argv])
+    model = BandedUniform(k0=ns.k0, offdiag=0.25, p=ns.p, unit_diagonal=bool(ns.unit_diagonal))
+    scheme = CzzTaper() if ns.scheme == "czz" else Banding()
+    sigma = build_sigma(model)
+    profile = risk_profile(sigma, ns.n, scheme, 2.0, default_tau_grid(ns.p, ns.n, ns.tau_max))
+    method = "exact" if ns.p <= 64 else "banded-truncated"
+    var = var_profile(sigma, ns.n, scheme, profile.tau_grid, 2.0, method, ns.k0)
+    rows = [f"{t},{float(r)!r},{float(v)!r}" for t, r, v in zip(profile.tau_grid, profile.values, var)]
+    assert out == "\n".join(["tau,risk,var_n", *rows, f"# oracle_tau = {profile.oracle_tau}"]) + "\n"
 
 
 def test_clt_with_one_replication_is_a_usage_error(capsys):

@@ -1,5 +1,6 @@
 """Weight schemes and tapered covariance estimates."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -15,11 +16,12 @@ from surecov.estimate import (
     CustomToeplitz,
     CzzTaper,
     _band,
+    _sigma_band,
     band_gram,
     mle_cov,
     taper,
 )
-from surecov.model import Dataset
+from surecov.model import ArDecay, BandedUniform, Dataset, Explicit, PolyDecay, build_sigma
 
 
 def test_banding_weights_are_indicators():
@@ -206,3 +208,37 @@ def test_band_gram_branch_at_benchmark_sizes(n, p, dmax, blocked):
     with mock.patch.object(estimate, "mle_cov", wraps=mle_cov) as dense:
         band_gram(Dataset(rows=np.zeros((n, p))), dmax)
     assert dense.called is not blocked
+
+
+@st.composite
+def _models(draw):
+    """A model of every family, at p in {1, 2, 7, 64}."""
+    p = draw(st.sampled_from([1, 2, 7, 64]))
+    family = draw(st.sampled_from(["poly", "ar", "banded", "explicit"]))
+    if family == "poly":
+        return PolyDecay(rho=draw(st.floats(0, 0.99)), alpha=draw(st.floats(0.05, 3)), p=p)
+    if family == "ar":
+        return ArDecay(rho=draw(st.floats(-0.99, 0.99)), p=p)
+    if family == "banded":
+        return BandedUniform(k0=draw(st.integers(1, p)), offdiag=draw(st.floats(-1, 1)), p=p,
+                             unit_diagonal=draw(st.booleans()))
+    m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(p, p))
+    m = m + m.T
+    np.fill_diagonal(m, np.abs(np.diagonal(m)) + 1.0)
+    return Explicit(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_models(), k=st.integers(1, 64), which=st.sampled_from(["1", "k", "p", "past p"]))
+def test_sigma_band_is_the_band_of_the_formed_sigma(model, k, which):
+    """A model's band holds the formed Sigma's floats, and its total is ``||Sigma||_F^2``
+    to 1e-14, against the correctly rounded sum: ``_band``'s einsum of the p^2 squares
+    is itself 1.3e-14 off it on a BandedUniform(k0=23, p=64)."""
+    p = model.p
+    width = {"1": 1, "k": min(k, p), "p": p, "past p": p + k}[which]
+    band, total = _sigma_band(model, width)
+    sigma = build_sigma(model)
+    dense_band, dense_total = _band(sigma, width)
+    assert band.shape == dense_band.shape and band.tobytes() == dense_band.tobytes()
+    assert total == pytest.approx(math.fsum((sigma * sigma).ravel()), rel=1e-14, abs=0.0)
+    assert total == pytest.approx(dense_total, rel=1e-13, abs=0.0)

@@ -473,8 +473,8 @@ def test_clt_banded_truncated_above_the_exact_cap():
 
 def test_wide_replication_makes_no_p_by_p_array():
     """An ArDecay context draws by its AR(1) recurrence, so it builds no
-    Cholesky factor and Sigma is its only p x p array; at p >> n a replication
-    reads its band from the rows and makes none."""
+    Cholesky factor, and it reads Sigma's band from the model, so it forms no
+    Sigma; at p >> n a replication reads its band from the rows and makes none."""
     p = 4000
     tracemalloc.start()
     try:
@@ -487,9 +487,46 @@ def test_wide_replication_makes_no_p_by_p_array():
     finally:
         tracemalloc.stop()
     assert ctx.chol is None
-    assert setup_peak < 1.25 * p * p * 8  # Sigma, and no second p x p array
-    assert peak < p * p * 8 / 4  # a quarter of one p x p float64 array
+    assert setup_peak < p * p * 8 / 4  # a quarter of one p x p float64 array
+    assert peak < p * p * 8 / 4
     assert math.isfinite(record.loss["2"])
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_experiment_oracle_makes_no_p_by_p_array():
+    """The oracle of a Toeplitz model at p >> n comes from the model's band, and
+    it is the dense oracle."""
+    p = 3000
+    cfg = ExperimentConfig(model=ArDecay(rho=0.6, p=p), n=30, replications=2, tau_max=12)
+    report, peak = _traced_peak(lambda: run_experiment(cfg))
+    assert peak < p * p * 8 / 4  # a quarter of one p x p float64 array
+    dense = risk_profile(build_sigma(cfg.model), cfg.n, Banding(), 2.0, cfg.tau_grid())
+    assert report.results["oracle"]["tau"] == dense.oracle_tau
+    assert report.results["oracle"]["min_risk"] == pytest.approx(dense.min_value(), rel=1e-13)
+
+
+def test_wide_clt_makes_no_p_by_p_array():
+    """The clt risk and var_n of a Toeplitz model at p >> n come from the model's
+    band, and they are the dense ones."""
+    p = 3000
+    cfg = ExperimentConfig(
+        model=ArDecay(rho=0.6, p=p), n=30, c_values=(2.0,), replications=3, kind="clt",
+        tau_fixed=4, var_method="banded-truncated", truncation_band=6,
+    )
+    report, peak = _traced_peak(lambda: clt_experiment(cfg))
+    assert peak < p * p * 8 / 4  # a quarter of one p x p float64 array
+    sigma = build_sigma(cfg.model)
+    res = report.results
+    assert res["risk"] == pytest.approx(risk_profile(sigma, 30, Banding(), 2.0, (4,)).values[0], rel=1e-13)
+    assert res["var_n"] == var_n(sigma, 30, Banding(), 4, 2.0, "banded-truncated", 6).value
 
 
 def _explicit_band_model(p):
