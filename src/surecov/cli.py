@@ -34,12 +34,11 @@ import numpy as np
 
 from .criterion import default_tau_grid, resolve_c, sure_constants, sure_profile_from_band
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import Banding, CzzTaper, WeightScheme, _sigma_band, band_gram
+from .estimate import Banding, CzzTaper, WeightScheme, band_gram
 from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay
 from .sim import (
-    _ONE_BLAS_THREAD,
     ExperimentConfig,
-    _var_method,
+    _model_theory,
     clt_experiment,
     consistency_experiment,
     oracle_ratio_experiment,
@@ -48,7 +47,7 @@ from .sim import (
     table2_config,
     TABLE1_VARIANTS,
 )
-from .theory import _risk_profile, _var_profile
+from .theory import VAR_METHODS
 
 __all__ = ["main", "read_matrix_csv", "load_config_file"]
 
@@ -388,12 +387,11 @@ def _experiment_overrides(ns: argparse.Namespace, config: ExperimentConfig) -> E
     return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
-def _run_by_kind(config: ExperimentConfig):
-    if config.kind == "consistency":
-        return consistency_experiment(config)
-    if config.kind == "oracle-ratio":
-        return oracle_ratio_experiment(config)
-    return run_experiment(config)
+_RUNS = {
+    "table": run_experiment,
+    "consistency": consistency_experiment,
+    "oracle-ratio": oracle_ratio_experiment,
+}
 
 
 def _simulate_csv(report) -> str:
@@ -446,7 +444,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
             kind=ns.kind or "table",
         )
 
-    report = _run_by_kind(_experiment_overrides(ns, config))
+    report = _RUNS[config.kind](_experiment_overrides(ns, config))
     if ns.format == "csv":
         _emit(_simulate_csv(report), ns.out)
     else:
@@ -458,13 +456,9 @@ def cmd_risk(ns: argparse.Namespace) -> int:
     model = model_from_args(ns)
     _default(ns, "c", 2.0)
     c = resolve_c(ns.c, ns.n)
-    scheme = scheme_from_name(ns.scheme)
     grid = default_tau_grid(model.p, ns.n, ns.tau_max)
-    k = _var_method(model, ns.var_method, ns.truncation_band)[2] if ns.with_var else 0
-    band, frob_sq = _sigma_band(model, max(grid[-1], k))
-    with _ONE_BLAS_THREAD:  # as in replications
-        profile = _risk_profile(band, frob_sq, ns.n, scheme, c, grid)
-        var = _var_profile(band[:, :k], ns.n, scheme, grid, c) if k else None
+    var = (ns.var_method, ns.truncation_band) if ns.with_var else None
+    profile, var = _model_theory(model, ns.n, scheme_from_name(ns.scheme), grid, c, var)
     lines = ["tau,risk" if var is None else "tau,risk,var_n"]
     for i, (t, r) in enumerate(zip(profile.tau_grid, profile.values)):
         line = f"{t},{_format_float(r)}"
@@ -514,7 +508,7 @@ _MODEL = {
 }
 _REPS_SEED = {"--replications --reps": {"type": int}, "--seed": {"type": int}}
 _VAR = {
-    "--var-method": {"choices": ["exact", "banded-truncated"]},
+    "--var-method": {"choices": list(VAR_METHODS)},
     "--truncation-band": {"type": int},
 }
 _COMMON = {
@@ -548,7 +542,7 @@ COMMANDS: dict[str, tuple[str, dict, dict[str, dict]]] = {
         "--n": {"type": int},
         "--c": {"type": parse_c_list, "action": "extend", "help": "comma list, e.g. 2,logn"},
         **_SCHEME,
-        "--kind": {"choices": ["table", "consistency", "oracle-ratio"]},
+        "--kind": {"choices": list(_RUNS)},
         **_EXPERIMENT,
     }),
     "risk": ("exact risk profile and oracle tau", {"func": cmd_risk}, {

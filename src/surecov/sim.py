@@ -50,7 +50,7 @@ from .model import (
     cholesky_factor,
     model_bandwidth,
 )
-from .theory import VAR_EXACT_CAP, _risk_profile, _var_profile, _var_width
+from .theory import VAR_METHODS, _risk_profile, _var_profile, _var_width
 
 __all__ = [
     "ExperimentConfig",
@@ -117,9 +117,10 @@ class ExperimentConfig:
     replications: int = 100
     base_seed: int = 0
     tau_max: int | None = None  # grid is 1..min(p, n) unless overridden (capped at p)
-    kind: str = "table"  # table | clt | rate | oracle-ratio | consistency
+    KINDS = ("table", "clt", "rate", "oracle-ratio", "consistency")  # of ``kind``; not a field
+    kind: str = "table"
     tau_fixed: int | None = None  # clt only
-    var_method: str | None = None  # clt only: exact | banded-truncated | None = auto
+    var_method: str | None = None  # clt only: one of theory.VAR_METHODS, or None = auto
     truncation_band: int | None = None
     threads: int = 0  # replication pool size; 0 and 1 both mean one worker
 
@@ -133,12 +134,16 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         if _is_int(self.tau_fixed):  # else clt_experiment words a bad tau like any other
             object.__setattr__(self, "tau_fixed", int(self.tau_fixed))
-        if self.replications < 1:
-            raise ParameterError(f"replications must be >= 1, got {self.replications}")
+        for name, least in (("replications", 1), ("threads", 0)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.n < 4:
             raise ParameterError(f"experiments require n >= 4, got n={self.n}")
         if not self.c_values:
             raise ParameterError("need at least one c value")
+        for name, allowed in (("kind", self.KINDS), ("var_method", (None, *VAR_METHODS))):
+            if getattr(self, name) not in allowed:
+                raise ParameterError(f"{name} must be in {allowed}, got {getattr(self, name)!r}")
 
     @property
     def p(self) -> int:
@@ -214,16 +219,16 @@ class ReplicationRecord:
 
 class _ExperimentContext:
     """Shared per-experiment precomputation over ``grid``, or else the config's tau grid: Sigma's
-    band to its ``dmax`` (or to ``width`` if wider) and ``||Sigma||_F^2`` by ``_sigma_band``, the
-    Cholesky factor but for ``ArDecay`` (a dense Sigma's one use, not kept), worker arrays."""
+    band to its ``dmax`` and ``||Sigma||_F^2`` by ``_sigma_band``, the Cholesky factor but for
+    ``ArDecay`` (a dense Sigma's one use, not kept), worker arrays."""
 
-    def __init__(self, config: ExperimentConfig, grid=None, width: int = 0):
+    def __init__(self, config: ExperimentConfig, grid=None):
         self.config, model = config, config.model
         self.chol = None if isinstance(model, ArDecay) else cholesky_factor(build_sigma(model))
         self.grid = _Grid(config.scheme, config.tau_grid() if grid is None else grid, config.n)
         self.cmap = config.resolved_c()
         self.consts = {k: sure_constants(config.n, c) for k, c in self.cmap.items()}
-        self.sigma_band, self.sig_sq = _sigma_band(model, max(self.grid.dmax, width))
+        self.sigma_band, self.sig_sq = _sigma_band(model, self.grid.dmax)
         self.w_sq = self.grid.w**2
         self.local = threading.local()  # per worker thread: its rows and band_gram's arrays
 
@@ -396,18 +401,14 @@ def _single_c(config: ExperimentConfig) -> tuple[str, float]:
     return next(iter(cmap.items()))
 
 
-def _var_method(model: CovModel, method: str | None, band: int | None):
-    """``(method, band, width of Sigma's band that var_n reads)``: as given; with no method,
-    ``exact`` up to ``VAR_EXACT_CAP``, then ``banded-truncated`` at the model's bandwidth."""
-    if method is None and model.p > VAR_EXACT_CAP:
-        method, band = "banded-truncated", model_bandwidth(model)
-        if band is None:
-            raise ParameterError(
-                f"cannot pick a var_n method automatically at p={model.p}: "
-                "pass var_method='banded-truncated' with a truncation_band"
-            )
-    method = "exact" if method is None else method
-    return method, band, _var_width(model.p, method, band)
+def _model_theory(model: CovModel, n: int, scheme, grid, c: float, var=None):
+    """A model's ``RiskProfile`` over ``grid`` and, given ``var = (method, truncation band)`` of
+    ``_var_width``'s rule, its var_n there (else None), off Sigma's band on one BLAS thread."""
+    k = _var_width(model.p, *var, model)[2] if var else 0
+    band, frob_sq = _sigma_band(model, max(max(grid), k))
+    with _ONE_BLAS_THREAD:
+        profile = _risk_profile(band, frob_sq, n, scheme, c, grid)
+        return profile, _var_profile(band[:, :k], n, scheme, grid, c) if var else None
 
 
 def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -424,11 +425,10 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise DataError("clt experiment needs >= 2 replications (KS undefined)")
     (tau,) = _check_grid((config.tau_fixed,))
     ckey, c = _single_c(config)
-    method, band, k = _var_method(config.model, config.var_method, config.truncation_band)
-    ctx = _ExperimentContext(config, (tau,), k)
-    var = float(_var_profile(ctx.sigma_band[:, :k], config.n, config.scheme, (tau,), c)[0])
-    risk = _risk_profile(ctx.sigma_band, ctx.sig_sq, config.n, config.scheme, c, (tau,)).values[0]
-    scale = math.sqrt(var)
+    method, band, _ = _var_width(config.p, config.var_method, config.truncation_band, config.model)
+    ctx = _ExperimentContext(config, (tau,))
+    profile, var = _model_theory(config.model, config.n, config.scheme, (tau,), c, (method, band))
+    risk, scale = profile.values[0], math.sqrt(var[0])
     consts = ctx.consts[ckey]
 
     def one(rep_index: int) -> float:
@@ -441,9 +441,9 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         "c_key": ckey,
         "tau": tau,
         "risk": float(risk),
-        "var_n": var,
+        "var_n": float(var[0]),
         "var_method": method,
-        "truncation_band": int(band) if method == "banded-truncated" else None,
+        "truncation_band": band,
         "standardized_mean": float(np.mean(sample)),
         "standardized_var": float(np.var(sample, ddof=1)),
         "ks_distance": ks_statistic(sample),

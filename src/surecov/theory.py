@@ -1,9 +1,9 @@
 """Exact population quantities for the criterion: risk, variance, moment oracles.
 
 Everything here is a deterministic function of the true covariance ``Sigma``.
-Risk and variance read only its band (to tau_max or the truncation band) and
-``||Sigma||_F^2``: each public function takes them off a dense ``Sigma`` by ``estimate._band``
-for a core that the CLI and experiments call on a model's band (``estimate._sigma_band``).
+Risk and variance read only its band (to tau_max or the truncation band) and ``||Sigma||_F^2``:
+each public function takes them off a dense ``Sigma`` by ``estimate._band`` for a core that
+``sim._model_theory``, the one theory step of ``risk`` and ``clt``, calls on a model's band.
 
 Risk
 ----
@@ -83,7 +83,7 @@ from .criterion import (
 )
 from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, _band
-from .model import Matrix, _is_int
+from .model import Matrix, _is_int, model_bandwidth
 
 __all__ = [
     "CoeffSet",
@@ -101,6 +101,7 @@ __all__ = [
 #: largest p for ``method="exact"``, the band path at band = p: O(p^4) once
 #: plus O(|grid| p^3)
 VAR_EXACT_CAP = 64
+VAR_METHODS = ("exact", "banded-truncated")
 
 
 @dataclass(frozen=True)
@@ -359,23 +360,34 @@ def var_profile(
     once plus O(|grid| p^3).  Either way only sigma's band to the truncation
     band is read; ``risk`` and ``clt`` pass a model's band without forming sigma.
     """
-    k = _var_width(len(sigma), method, truncation_band)
+    k = _var_width(len(sigma), method, truncation_band)[2]
     return _var_profile(_band(sigma, k)[0], n, scheme, tau_grid, c)
 
 
-def _var_width(p: int, method: str, truncation_band: int | None) -> int:
-    """Sigma's band width ``method`` reads: p for exact (capped), else the truncation band <= p."""
+def _var_width(p: int, method: str | None, truncation_band: int | None, model=None):
+    """The var_n method rule: ``(method, truncation band used or None, width of Sigma's band
+    read)``, p for exact (capped), else the band <= p.  With no method and a ``model``, the
+    automatic pick: ``exact`` to ``VAR_EXACT_CAP``, else ``banded-truncated`` at its bandwidth."""
+    if method is None and model is not None:
+        method = "exact"
+        if p > VAR_EXACT_CAP:
+            method, truncation_band = "banded-truncated", model_bandwidth(model)
+            if truncation_band is None:
+                raise ParameterError(
+                    f"cannot pick a var_n method automatically at p={p}: "
+                    "pass var_method='banded-truncated' with a truncation_band"
+                )
     if method == "exact":
         if p > VAR_EXACT_CAP:
             raise ParameterError(
                 f"exact var_n is O(p^4) and capped at p={VAR_EXACT_CAP}; "
                 f"got p={p} -- use method='banded-truncated' with a truncation band"
             )
-        return p
+        return method, None, p
     if method == "banded-truncated":
         if not (_is_int(truncation_band) and truncation_band >= 1):
             raise ParameterError("banded-truncated var_n needs an integer truncation_band >= 1")
-        return min(int(truncation_band), p)
+        return method, int(truncation_band), min(int(truncation_band), p)
     raise ParameterError(f"unknown var_n method {method!r}")
 
 
@@ -390,8 +402,8 @@ def var_n(
 ) -> VarApprox:
     """Evaluate the four-term variance approximation at one tau: the one-point
     grid of :func:`var_profile`, with the same methods and costs."""
-    value = var_profile(sigma, n, scheme, (tau,), c, method, truncation_band)[0]
-    band = int(truncation_band) if method == "banded-truncated" else None
+    method, band, k = _var_width(len(sigma), method, truncation_band)
+    value = _var_profile(_band(sigma, k)[0], n, scheme, (tau,), c)[0]
     return VarApprox(tau=int(tau), value=float(value), method=method, truncation_band=band)
 
 

@@ -80,6 +80,11 @@ def test_read_matrix_csv_errors(tmp_path):
     with pytest.raises(DataError):
         read_matrix_csv(str(tmp_path / "missing.csv"))
 
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n   \n , \n\n")
+    with pytest.raises(DataError, match=r"blank\.csv: no data rows"):
+        read_matrix_csv(str(blank))
+
 
 def test_csv_errors_name_lines_not_records(tmp_path):
     # the quoted header cell spans lines 1-2, so the fifth line is the fourth record
@@ -838,6 +843,41 @@ def test_risk_table_of_a_banded_model_is_the_dense_public_api_byte_for_byte(caps
     var = var_profile(sigma, ns.n, scheme, profile.tau_grid, 2.0, method, ns.k0)
     rows = [f"{t},{float(r)!r},{float(v)!r}" for t, r, v in zip(profile.tau_grid, profile.values, var)]
     assert out == "\n".join(["tau,risk,var_n", *rows, f"# oracle_tau = {profile.oracle_tau}"]) + "\n"
+
+
+def test_risk_with_a_non_numeric_c_is_a_usage_error(capsys):
+    argv = ["risk", "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "20", "--c", "x"]
+    assert main(argv) == 2
+    assert "argument --c: c must be a number or 'logn', got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--fast", "--reps", "2", "--threads", "-1"],
+    ["clt", "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "20", "--tau", "2",
+     "--reps", "3", "--threads", "-7"],
+])
+def test_negative_threads_is_a_usage_error(capsys, argv):
+    # a negative count used to run quietly on one worker
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: threads must be >= 0, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("model, tau", [
+    (["--model", "ar-decay", "--rho", "0.5", "--p", "10"], 3),  # exact var_n
+    (["--model", "banded-uniform", "--k0", "4", "--p", "200"], 6),  # banded-truncated at k0
+])
+def test_clt_theory_is_the_tau_row_of_risk_with_var(capsys, model, tau):
+    """clt and ``risk --with-var`` share one theory step: clt's var_n is the tau row
+    of the risk table digit for digit, and its risk agrees to rounding.  The risk is
+    not bitwise the row's: its product with the weight table sums in an order that
+    depends on the number of taus in the grid, here one against tau."""
+    common = [*model, "--n", "40", "--scheme", "czz", "--c", "3"]
+    assert main(["risk", *common, "--tau-max", str(tau), "--with-var"]) == 0
+    row = capsys.readouterr().out.splitlines()[tau].split(",")
+    assert main(["clt", *common, "--tau", str(tau), "--reps", "3"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert [row[0], row[2]] == [str(tau), repr(res["var_n"])]
+    assert res["risk"] == pytest.approx(float(row[1]), rel=1e-14, abs=0)
 
 
 def test_clt_with_one_replication_is_a_usage_error(capsys):

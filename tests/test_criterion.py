@@ -137,6 +137,12 @@ def test_default_tau_grid_rejects_a_non_integer_cap(cap):
         default_tau_grid(10, 6, tau_max=cap)
 
 
+def test_three_term_criterion_at_n_three_is_a_data_error():
+    # n = 3 has constants (a_n = 0) but no criterion
+    with pytest.raises(DataError, match="the criterion requires n >= 4, got n=3"):
+        sure_eq2_reference(np.eye(2), sure_constants(3, 2.0), Banding(), 2)
+
+
 def test_sure_identity_frozen():
     # sigma_tilde = I_2, n=5, banding tau=2 keeps everything: value = 7/6
     profile = sure_profile(np.eye(2), sure_constants(5, 2.0), Banding(), (1, 2))

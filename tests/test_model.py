@@ -75,6 +75,35 @@ def test_parameter_validation():
         ArDecay(rho=0.5, p=-3)
 
 
+@pytest.mark.parametrize("rho", [1.0, -0.1, 1.5])
+def test_poly_decay_rho_outside_zero_one_is_a_parameter_error(rho):
+    with pytest.raises(ParameterError, match=f"PolyDecay requires 0 <= rho < 1, got {rho}"):
+        PolyDecay(rho=rho, alpha=0.5, p=4)
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0, 2.5])
+def test_ar_decay_rho_of_modulus_one_or_more_is_a_parameter_error(rho):
+    with pytest.raises(ParameterError, match=f"ArDecay requires \\|rho\\| < 1, got {rho}"):
+        ArDecay(rho=rho, p=4)
+
+
+def test_explicit_non_finite_entry_is_a_parameter_error():
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = np.inf  # symmetric, so the finiteness check is the one that fails
+    with pytest.raises(ParameterError, match="Explicit matrix has non-finite entries"):
+        Explicit(matrix=m)
+
+
+def test_one_dimensional_dataset_rows_are_a_data_error():
+    with pytest.raises(DataError, match=r"Dataset rows must be 2-dimensional, got shape \(5,\)"):
+        Dataset(rows=np.ones(5))
+
+
+def test_sampling_from_a_non_square_sigma_is_a_parameter_error():
+    with pytest.raises(ParameterError, match=r"sigma must be square, got shape \(2, 3\)"):
+        sample_dataset(np.ones((2, 3)), 5, seed=1)
+
+
 @pytest.mark.parametrize("k0", [2.5, np.float64(3.0), True])
 def test_banded_uniform_bandwidth_must_be_an_integer(k0):
     # 2.5 was accepted and then run as band int(2.5) = 2 by var_n

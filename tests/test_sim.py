@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from surecov import cli, sim
 from surecov.criterion import _band_sums, sure_constants, sure_profile
 from surecov.errors import DataError, ParameterError
 from surecov.estimate import _BLOCK, Banding, CzzTaper, band_gram, mle_cov, taper
@@ -98,6 +99,28 @@ def test_config_validation():
         ExperimentConfig(model=model, n=30, c_values=("lgn",)).resolved_c()
     with pytest.raises(ParameterError):
         ExperimentConfig(model=model, n=30, c_values=(1.0,)).resolved_c()
+    # these used to run, echoing the bad value, or run one worker for threads < 0
+    with pytest.raises(ParameterError, match="kind must be in .*'consistency'.*, got 'bogus'"):
+        ExperimentConfig(model=model, n=30, kind="bogus")
+    with pytest.raises(ParameterError, match="var_method must be in .*'banded-truncated'.*, got 'nonsense'"):
+        ExperimentConfig(model=model, n=30, var_method="nonsense")
+    with pytest.raises(ParameterError, match="threads must be >= 0, got -4"):
+        ExperimentConfig(model=model, n=30, threads=-4)
+    with pytest.raises(ParameterError, match="threads must be >= 0, got -4"):
+        run_experiment(ExperimentConfig(model=ArDecay(0.5, 10), n=10, replications=2, kind="bogus",
+                                        var_method="nonsense", threads=-4))
+
+
+@pytest.mark.parametrize("kind", ["table", "clt", "rate", "oracle-ratio", "consistency"])
+@pytest.mark.parametrize("var_method", [None, "exact", "banded-truncated"])
+def test_every_kind_and_var_method_in_use_is_a_valid_config(kind, var_method):
+    cfg = ExperimentConfig(model=ArDecay(rho=0.5, p=6), n=20, kind=kind, var_method=var_method)
+    assert (cfg.echo()["kind"], cfg.echo()["var_method"]) == (kind, var_method)
+
+
+def test_rate_experiment_needs_three_sample_sizes():
+    with pytest.raises(ParameterError, match=r"rate experiment needs >= 3 sample sizes, got \[10, 20\]"):
+        rate_experiment(alpha=0.5, rho=0.6, p=8, n_list=[10, 20], reps=2)
 
 
 def test_numpy_integer_config_fields_give_python_int_payloads():
@@ -265,6 +288,37 @@ def test_replications_run_on_one_blas_thread():
     for threads in (1, 3):
         assert _map_ordered(lambda i: setter(1), 6, threads) == [1] * 6
         assert setter(before) == before
+
+
+def test_model_theory_runs_on_one_blas_thread(monkeypatch, capsys):
+    """clt's risk and var_n, like ``risk --with-var``'s, are computed with BLAS on one
+    thread, and the caller's BLAS thread count comes back afterwards."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    seen = []
+
+    def spy(fn):
+        def counted(*args):
+            seen.append(setter(1))  # the count the theory call runs with
+            return fn(*args)
+        return counted
+
+    for name in ("_risk_profile", "_var_profile"):
+        monkeypatch.setattr(sim, name, spy(getattr(sim, name)))
+    before = setter(2)
+    try:
+        clt_experiment(ExperimentConfig(model=ArDecay(rho=0.5, p=10), n=20, replications=3,
+                                        kind="clt", tau_fixed=3))
+        assert seen == [1, 1]
+        assert setter(2) == 2
+        assert cli.main(["risk", "--model", "ar-decay", "--rho", "0.5", "--p", "10", "--n", "20",
+                         "--with-var"]) == 0
+        assert seen == [1, 1, 1, 1]
+        assert setter(before) == 2
+    finally:
+        setter(before)
+    capsys.readouterr()
 
 
 def test_the_blas_thread_count_is_process_wide():

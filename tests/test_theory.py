@@ -90,6 +90,11 @@ def test_bool_tau_is_not_a_grid_point():
         risk_profile(sigma, 20, Banding(), 2.0, [True, 3])
 
 
+def test_risk_profile_at_n_three_is_a_data_error():
+    with pytest.raises(DataError, match="risk profile requires n >= 4, got n=3"):
+        risk_profile(np.eye(3), 3, Banding())
+
+
 def test_risk_identity_frozen():
     profile = risk_profile(np.eye(3), 5, Banding(), 2.0, (1, 2, 3))
     assert profile.values == pytest.approx([1.08, 1.72, 2.04], rel=1e-13)
