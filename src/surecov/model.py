@@ -18,10 +18,14 @@ Sampling is deterministic given ``(sigma, n, seed)`` and uses a counter-based
 generator so that parallel replication order can never change the draws.  Rows
 are ``z @ L.T`` for normals ``z`` and sigma's Cholesky factor ``L``; experiments
 draw ``ArDecay`` by its AR(1) recurrence, the same map with no p x p factor.
+``L`` and the product are computed on one BLAS thread (``_ONE_BLAS_THREAD``), as
+their last bits depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -211,6 +215,57 @@ def model_bandwidth(model: CovModel) -> int | None:
     return None
 
 
+@lru_cache(maxsize=1)
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` (it returns the previous count) of an
+    OpenBLAS this process has loaded, or None: another BLAS, or no ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+        fns = (getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None) for path in paths)
+        return next((fn for fn in fns if fn is not None), None)
+    except OSError:
+        return None
+
+
+def _set_blas_threads(count: int) -> int:
+    setter = _blas_thread_setter()
+    return setter(count) if setter else 0
+
+
+class _OneBlasThread:
+    """While any caller is inside, BLAS runs on one thread.
+
+    This holds where the count is process-wide, as in numpy's bundled OpenBLAS
+    0.3.31 (a count set in one thread is the count every other thread reads;
+    ``tests/test_sim.py`` checks the loaded library).  Calls from different
+    threads then share it: the first to enter saves the count it finds, the
+    last to leave restores it.  Where a build keeps the count per thread, the
+    first caller's thread would keep one BLAS thread after it returns.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            previous = _set_blas_threads(1)
+            if self._inside == 0:
+                self._saved = previous
+            self._inside += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0:
+                _set_blas_threads(self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()  # one per process, like the count it guards
+
+
 def cholesky_factor(sigma: Matrix) -> Matrix:
     """Lower-triangular Cholesky factor of ``sigma``, with a single jitter retry.
 
@@ -220,17 +275,18 @@ def cholesky_factor(sigma: Matrix) -> Matrix:
     reused across replications.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-10 * float(np.trace(sigma)) / sigma.shape[0]
-    try:
-        return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "covariance matrix is not positive definite (jitter retry failed)"
-        ) from None
+    with _ONE_BLAS_THREAD:  # LAPACK's bits depend on BLAS's thread count
+        try:
+            return np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            pass
+        jitter = 1e-10 * float(np.trace(sigma)) / sigma.shape[0]
+        try:
+            return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                "covariance matrix is not positive definite (jitter retry failed)"
+            ) from None
 
 
 def _rng_for_seed(seed: int) -> np.random.Generator:
@@ -280,4 +336,5 @@ def sample_dataset(sigma: Matrix, n: int, seed: int, chol: Matrix | None = None)
     if chol is None:
         chol = cholesky_factor(sigma)
     z = _rng_for_seed(seed).standard_normal((n, chol.shape[0]))
-    return Dataset(rows=z @ chol.T, seed=seed)
+    with _ONE_BLAS_THREAD:  # like LAPACK's, the product's bits depend on BLAS's thread count
+        return Dataset(rows=z @ chol.T, seed=seed)

@@ -10,7 +10,6 @@ counts) from a ``meta`` section holding wall time and runtime facts.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
@@ -19,7 +18,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,9 +41,11 @@ from .model import (
     Dataset,
     Explicit,
     PolyDecay,
+    _ONE_BLAS_THREAD,
     _ar_rows,
     _is_int,
     _rng_for_seed,
+    _set_blas_threads,
     build_sigma,
     cholesky_factor,
     model_bandwidth,
@@ -245,7 +245,8 @@ class _ExperimentContext:
         if self.chol is None:
             _ar_rows(z, cfg.model.rho, data.rows)
         else:
-            np.matmul(z, self.chol.T, out=data.rows)
+            with _ONE_BLAS_THREAD:  # sample_dataset's draw, bit for bit at any caller's count
+                np.matmul(z, self.chol.T, out=data.rows)
         band, frob_sq = band_gram(data, self.grid.dmax, ws)
         s1, s2 = _band_sums(band, frob_sq)
         return seed, band, s1, s2
@@ -265,57 +266,6 @@ class _ExperimentContext:
         )
 
 
-@lru_cache(maxsize=1)
-def _blas_thread_setter():
-    """``openblas_set_num_threads_local`` (it returns the previous count) of an
-    OpenBLAS this process has loaded, or None: another BLAS, or no ``/proc/self/maps``."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-        fns = (getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None) for path in paths)
-        return next((fn for fn in fns if fn is not None), None)
-    except OSError:
-        return None
-
-
-def _set_blas_threads(count: int) -> int:
-    setter = _blas_thread_setter()
-    return setter(count) if setter else 0
-
-
-class _OneBlasThread:
-    """While any caller is inside, BLAS runs on one thread.
-
-    This holds where the count is process-wide, as in numpy's bundled OpenBLAS
-    0.3.31 (a count set in one thread is the count every other thread reads;
-    ``tests/test_sim.py`` checks the loaded library).  Calls from different
-    threads then share it: the first to enter saves the count it finds, the
-    last to leave restores it.  Where a build keeps the count per thread, the
-    first caller's thread would keep one BLAS thread after it returns.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._inside = 0
-        self._saved = 0
-
-    def __enter__(self) -> None:
-        with self._lock:
-            previous = _set_blas_threads(1)
-            if self._inside == 0:
-                self._saved = previous
-            self._inside += 1
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._inside -= 1
-            if self._inside == 0:
-                _set_blas_threads(self._saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()  # one per process, like the count it guards
-
-
 def _map_ordered(fn, count: int, threads: int) -> list:
     """Apply fn to 0..count-1, returning results in index order.
 
@@ -323,7 +273,7 @@ def _map_ordered(fn, count: int, threads: int) -> list:
     threads under it would oversubscribe the cores, and one BLAS thread at
     every pool size keeps the results bitwise independent of ``threads``.
     Every worker sets that count too, and the count from before the call comes
-    back only after the last of any concurrent calls (see :class:`_OneBlasThread`).
+    back only after the last of any concurrent calls (see :class:`model._OneBlasThread`).
     """
     with _ONE_BLAS_THREAD:
         if threads <= 1 or count <= 1:

@@ -98,8 +98,8 @@ __all__ = [
     "VAR_EXACT_CAP",
 ]
 
-#: largest p for ``method="exact"``, the band path at band = p: O(p^4) once
-#: plus O(|grid| p^3)
+#: widest band var_n reads, p for ``method="exact"`` and min(truncation band, p)
+#: otherwise: band k costs O(p k^3) once plus O(|grid| p k (k + tau_max))
 VAR_EXACT_CAP = 64
 VAR_METHODS = ("exact", "banded-truncated")
 
@@ -209,33 +209,15 @@ def _symmetric(coef: NDArray[np.float64], h: int) -> NDArray[np.float64]:
     return np.concatenate([coef[:, h - 1 : 0 : -1], coef[:, :h]], axis=1)
 
 
-def _transposed(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    # band storage of the transposes, 0 where they leave the matrix:
-    # [t, d, i] = x[t, rows-1-d, i + d - rows//2].  The reversed rows go into
-    # zeroed lines of p + rows - 1 entries at rows//2; read back with lines one
-    # entry longer, row d starts d entries further on
-    g, rows, p = x.shape
-    line = p + rows - 1
-    buf = np.zeros((g, rows * (line + 1)))
-    buf[:, : rows * line].reshape(g, rows, line)[:, :, rows // 2 : rows // 2 + p] = x[:, ::-1]
-    return buf.reshape(g, rows, line + 1)[:, :, :p]
-
-
-def _total(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    # per-tau sum of a contiguous array, pairwise along one axis like np.sum of a
-    # 1-d array: a single running total over p entries loses digits
-    return x.reshape(len(x), -1).sum(axis=1)
-
-
 # entries of the largest (tau, row, column) temporary for a chunk of the grid; a
 # chunk holds at least one tau, so one tau at any width still fits
 _CHUNK_ENTRIES = 1 << 19
 
 
 def _grid_chunks(taus: tuple[int, ...], p: int, k: int):
-    # the grid's indices by increasing tau, in runs whose _transposed buffers,
-    # rows (p + rows) entries per tau with rows = min(2 tau + 2k - 3, 2p - 1) at
-    # the run's largest tau, hold at most _CHUNK_ENTRIES entries
+    # the grid's indices by increasing tau, in runs of at most _CHUNK_ENTRIES entries at
+    # rows (p + rows) per tau, rows = min(2 tau + 2k - 3, 2p - 1) at the run's largest tau:
+    # that bounds the run's largest temporary, its product x of rows p entries per tau
     run: list[int] = []
     for i in sorted(range(len(taus)), key=taus.__getitem__):
         rows = min(2 * taus[i] + 2 * k - 3, 2 * p - 1)
@@ -298,7 +280,7 @@ def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np
         cs = coeffs(n, c, np.vstack([scheme.weights(t, max(h, w) + 1) for t in chunk]))
         # u_j = sum_i Bbar_ij s_ii
         u = np.einsum("ta,ai->ti", _symmetric(cs.Bbar[:, :h], h), _shifts(s[k - 1], 2 * h - 1))
-        bb = _total(u * np.einsum("ai,tai->ti", m, _shifts(u, w)))
+        bb = (u * np.einsum("ai,tai->ti", m, _shifts(u, w))).sum(axis=1)
         # sum Abar o (M Abar M) = tr(Abar M Abar M) = sum_ij X_ij X_ji with
         # X = M Abar = MT + alpha0 r1', r = M1: entrywise where MT has its band,
         # offsets up to half = min(h + k - 2, p - 1), alpha0^2 r_i r_j beyond.  Expanding
@@ -310,9 +292,12 @@ def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np
         toep = sliding_window_view(tpad, w, axis=1)[:, h + k - 2 - half : h + k - 1 + half, ::-1]
         x = toep @ m
         x += alpha0 * r
-        x *= _transposed(x)
+        # X_ij X_ji offset by offset: row half+e of x holds X_{i,i+e}, row half-e X_{i+e,i}
+        xx = x[:, half] ** 2
+        for e in range(1, half + 1):
+            xx[:, : p - e] += 2.0 * x[:, half + e, : p - e] * x[:, half - e, e:]
         far = suffix[half + 1 :]  # r_j summed beyond the band
-        a_mam = _total(x) + 2.0 * alpha0**2 * (r[: far.size] @ far)
+        a_mam = xx.sum(axis=1) + 2.0 * alpha0**2 * (r[: far.size] @ far)
         acoef = _symmetric(cs.Abar[:, :k], k)
         cross = np.einsum("ta,ab,tb->t", acoef, trace_ff, acoef)
         ab = np.einsum("ti,ia,ta->t", u, diag_sf, acoef)  # u' diag(S P S)
@@ -356,9 +341,9 @@ def var_profile(
     does the tau-independent part once, in O(p k^3) time, then
     O(|grid| p k (k + tau_max)) for the whole grid, in chunks of the sorted
     grid that keep memory at O(p (k + tau_max)).  ``method="exact"`` is this
-    path at ``truncation_band = p`` (p capped at ``VAR_EXACT_CAP``): O(p^4)
-    once plus O(|grid| p^3).  Either way only sigma's band to the truncation
-    band is read; ``risk`` and ``clt`` pass a model's band without forming sigma.
+    path at ``truncation_band = p``: O(p^4) once plus O(|grid| p^3).  Either
+    way only sigma's band to k = min(truncation band, p) is read, and k may not
+    exceed ``VAR_EXACT_CAP``; ``risk`` and ``clt`` pass a model's band without forming sigma.
     """
     k = _var_width(len(sigma), method, truncation_band)[2]
     return _var_profile(_band(sigma, k)[0], n, scheme, tau_grid, c)
@@ -366,8 +351,9 @@ def var_profile(
 
 def _var_width(p: int, method: str | None, truncation_band: int | None, model=None):
     """The var_n method rule: ``(method, truncation band used or None, width of Sigma's band
-    read)``, p for exact (capped), else the band <= p.  With no method and a ``model``, the
-    automatic pick: ``exact`` to ``VAR_EXACT_CAP``, else ``banded-truncated`` at its bandwidth."""
+    read)``, p for exact, else the band <= p, either capped at ``VAR_EXACT_CAP``.  With no method
+    and a ``model``, the automatic pick: ``exact`` to ``VAR_EXACT_CAP``, else ``banded-truncated``
+    at its bandwidth."""
     if method is None and model is not None:
         method = "exact"
         if p > VAR_EXACT_CAP:
@@ -387,7 +373,13 @@ def _var_width(p: int, method: str | None, truncation_band: int | None, model=No
     if method == "banded-truncated":
         if not (_is_int(truncation_band) and truncation_band >= 1):
             raise ParameterError("banded-truncated var_n needs an integer truncation_band >= 1")
-        return method, int(truncation_band), min(int(truncation_band), p)
+        k = min(int(truncation_band), p)
+        if k > VAR_EXACT_CAP:
+            raise ParameterError(
+                f"var_n reads a band of width {k}, above the cap of {VAR_EXACT_CAP}: its cost "
+                "grows as p k^3 -- for a banded Sigma pass its bandwidth as the truncation band"
+            )
+        return method, int(truncation_band), k
     raise ParameterError(f"unknown var_n method {method!r}")
 
 

@@ -32,7 +32,7 @@ from surecov.criterion import default_tau_grid, sure_constants, sure_profile
 from surecov.errors import DataError, ParameterError
 from surecov.estimate import Banding, CzzTaper, mle_cov, taper
 from surecov.model import ArDecay, BandedUniform, Dataset, build_sigma, sample_dataset
-from surecov.theory import risk_profile, var_profile
+from surecov.theory import VAR_EXACT_CAP, risk_profile, var_profile
 
 
 def _write_csv(path, rows, header=None):
@@ -567,6 +567,21 @@ def test_overflowing_var_n_exits_4(capsys, method):
         "error: var_n at tau=1 is not finite: the covariance overflows"
     ]
     assert main(argv[:-5]) == 0  # the risk column alone is finite
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "ar-decay", "--rho", "0.5", "--p", "100", "--n", "100", "--tau-max", "3",
+     "--with-var", "--var-method", "banded-truncated", "--truncation-band", "100"],
+    ["--model", "banded-uniform", "--k0", "70", "--p", "100", "--n", "20", "--tau-max", "3",
+     "--with-var"],  # the automatic pick reads the model's bandwidth, 70
+], ids=["truncation-band", "automatic"])
+def test_var_n_over_the_band_cap_is_a_usage_error(capsys, argv):
+    """A truncation band as wide as exact's costs what exact does, so the cap holds for it too."""
+    assert main(["risk", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: var_n reads a band of width ")
+    assert f"above the cap of {VAR_EXACT_CAP}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

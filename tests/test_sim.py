@@ -20,6 +20,7 @@ from surecov.model import (
     Dataset,
     Explicit,
     PolyDecay,
+    _blas_thread_setter,
     build_sigma,
     cholesky_factor,
     sample_dataset,
@@ -27,7 +28,6 @@ from surecov.model import (
 from surecov.sim import (
     ExperimentConfig,
     _ExperimentContext,
-    _blas_thread_setter,
     _map_ordered,
     _model_echo,
     clt_experiment,
@@ -339,6 +339,27 @@ def test_the_blas_thread_count_is_process_wide():
         setter(before)
 
 
+def test_cholesky_draws_do_not_depend_on_the_callers_blas_thread_count():
+    """The Cholesky factor is computed on one BLAS thread, so the rows of a draw and the payload
+    of an experiment that draws through it are the same whatever count the caller runs at."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    sigma = build_sigma(PolyDecay(rho=0.6, alpha=0.5, p=500))
+    config = table1_config("model1-a05", replications=2)
+    seen = []
+    before = setter(2)
+    try:
+        for count in (2, 1):
+            setter(count)
+            seen.append((sample_dataset(sigma, 50, 7).rows, run_experiment(config).payload_bytes()))
+            assert setter(count) == count
+    finally:
+        setter(before)
+    assert np.array_equal(seen[0][0], seen[1][0])
+    assert seen[0][1] == seen[1][1]
+
+
 def test_concurrent_maps_restore_the_blas_count_after_the_last(monkeypatch):
     """Two maps in two threads share a process-wide BLAS thread count: it stays
     1 while either runs, even after the first one ends, and the count from
@@ -350,7 +371,7 @@ def test_concurrent_maps_restore_the_blas_count_after_the_last(monkeypatch):
         previous, count[0] = count[0], value
         return previous
 
-    monkeypatch.setattr("surecov.sim._blas_thread_setter", lambda: setter)
+    monkeypatch.setattr("surecov.model._blas_thread_setter", lambda: setter)
     events = {name: threading.Event() for name in ("a_in", "a_go", "b_in", "b_go")}
     seen = []
 
@@ -388,7 +409,7 @@ def test_many_concurrent_maps_keep_one_blas_thread(monkeypatch):
         previous, count[0] = count[0], value
         return previous
 
-    monkeypatch.setattr("surecov.sim._blas_thread_setter", lambda: setter)
+    monkeypatch.setattr("surecov.model._blas_thread_setter", lambda: setter)
     seen = []
 
     def worker():

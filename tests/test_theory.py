@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surecov.errors import DataError, NumericalError, ParameterError
-from surecov.estimate import Banding, CustomToeplitz, CzzTaper, taper
+from surecov.estimate import Banding, CustomToeplitz, CzzTaper, _sigma_band, taper
 from surecov.model import ArDecay, BandedUniform, _toeplitz, build_sigma
 from surecov.theory import (
     VAR_EXACT_CAP,
+    _var_profile,
     coeffs,
     exact_sure_variance,
     isserlis_moment,
@@ -262,6 +263,21 @@ def test_var_n_banded_allocates_no_p_by_p_array():
     assert peak < p * p * 8 / 8
 
 
+def test_var_profile_peak_is_about_one_chunk_product():
+    """At a large tau the chunk holds one tau, and its largest temporary is the product x of
+    2 min(tau + k - 2, p - 1) + 1 rows of p floats: the sum of X_ij X_ji adds no second one."""
+    p, k, tau = 4000, 5, 250
+    band = _sigma_band(BandedUniform(k0=k, offdiag=0.25, p=p), k)[0]
+    tracemalloc.start()
+    try:
+        value = _var_profile(band, 250, CzzTaper(), (tau,), 2.0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak <= 1.25 * (2 * min(tau + k - 2, p - 1) + 1) * p * 8
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), p=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 6.0))
 def test_var_profile_is_exact_var_n_of_the_truncation_at_every_tau(data, p, seed, c):
@@ -354,6 +370,10 @@ def test_var_n_guards():
         var_n(big, 50, Banding(), 2, 2.0)  # p over the exact cap
     with pytest.raises(ParameterError):
         var_n(big, 50, Banding(), 2, 2.0, method="banded-truncated")  # band missing
+    # a full-width band is exact's O(p^4) work under another name, also when wider than p
+    for band in (VAR_EXACT_CAP + 1, VAR_EXACT_CAP + 9):
+        with pytest.raises(ParameterError, match=rf"width {VAR_EXACT_CAP + 1}, above the cap of"):
+            var_n(big, 50, Banding(), 2, 2.0, method="banded-truncated", truncation_band=band)
     with pytest.raises(ParameterError):
         var_n(np.eye(4), 50, Banding(), 2, 2.0, method="bogus")
     with pytest.raises(DataError):
