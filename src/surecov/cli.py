@@ -458,7 +458,7 @@ def cmd_risk(ns: argparse.Namespace) -> int:
     c = resolve_c(ns.c, ns.n)
     grid = default_tau_grid(model.p, ns.n, ns.tau_max)
     var = (ns.var_method, ns.truncation_band) if ns.with_var else None
-    profile, var = _model_theory(model, ns.n, scheme_from_name(ns.scheme), grid, c, var)
+    profile, var, _, _ = _model_theory(model, ns.n, scheme_from_name(ns.scheme), grid, c, var)
     lines = ["tau,risk" if var is None else "tau,risk,var_n"]
     for i, (t, r) in enumerate(zip(profile.tau_grid, profile.values)):
         line = f"{t},{_format_float(r)}"

@@ -21,7 +21,9 @@ from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .errors import ParameterError
-from .model import CovModel, Dataset, Explicit, Matrix, _is_int, _toeplitz, _toeplitz_vals
+from .model import (
+    _ONE_BLAS_THREAD, CovModel, Dataset, Explicit, Matrix, _is_int, _toeplitz, _toeplitz_vals
+)
 
 __all__ = [
     "Banding",
@@ -130,9 +132,11 @@ def _centered(data: Dataset, ws: dict | None = None) -> Matrix:
 
 
 def mle_cov(data: Dataset, _ws: dict | None = None) -> Matrix:
-    """Maximum likelihood covariance ``(1/n) sum (X_k - Xbar)(X_k - Xbar)^T``."""
+    """Maximum likelihood covariance ``(1/n) sum (X_k - Xbar)(X_k - Xbar)^T``, the product on
+    one BLAS thread, as its bits depend on the count."""
     centered = _centered(data, _ws)
-    s = np.matmul(centered.T, centered, out=_buf(_ws, "s", (data.p, data.p)))  # syrk: symmetric
+    with _ONE_BLAS_THREAD:  # syrk: symmetric
+        s = np.matmul(centered.T, centered, out=_buf(_ws, "s", (data.p, data.p)))
     return np.divide(s, data.n, out=s)
 
 

@@ -16,10 +16,13 @@ read their band and ``||Sigma||_F^2`` from ``v`` (``estimate._sigma_band``), and
 
 Sampling is deterministic given ``(sigma, n, seed)`` and uses a counter-based
 generator so that parallel replication order can never change the draws.  Rows
-are ``z @ L.T`` for normals ``z`` and sigma's Cholesky factor ``L``; experiments
-draw ``ArDecay`` by its AR(1) recurrence, the same map with no p x p factor.
-``L`` and the product are computed on one BLAS thread (``_ONE_BLAS_THREAD``), as
-their last bits depend on the BLAS thread count.
+are ``z @ L.T`` for normals ``z`` and sigma's Cholesky factor ``L``.  This module
+owns the draw: :func:`_draw` maps a seed's normals to rows for
+:func:`sample_dataset` and for every experiment replication alike, with the
+factor of :func:`_draw_factor`, which for ``ArDecay`` is the model itself, drawn
+by its AR(1) recurrence (the same map with no p x p factor).  ``L`` and the
+product are computed on one BLAS thread (``_ONE_BLAS_THREAD``), as their last
+bits depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -322,19 +325,42 @@ def _ar_rows(z: Matrix, rho: float, out: Matrix) -> Matrix:
     return out
 
 
+def _draw_factor(model: CovModel) -> ArDecay | Matrix:
+    """:func:`_draw`'s factor: an ``ArDecay`` itself (no p x p array), else Sigma's Cholesky L."""
+    return model if isinstance(model, ArDecay) else cholesky_factor(build_sigma(model))
+
+
+def _draw(seed: int, factor: ArDecay | Matrix, z: Matrix, out: Matrix) -> Matrix:
+    """``seed``'s normals into ``z``, their rows ``z @ L.T`` into ``out``: by :func:`_ar_rows` for
+    an ``ArDecay`` (``z`` overwritten), else on one BLAS thread, as the product's bits depend on it."""
+    _rng_for_seed(seed).standard_normal(out=z)
+    if isinstance(factor, ArDecay):
+        return _ar_rows(z, factor.rho, out)
+    with _ONE_BLAS_THREAD:
+        return np.matmul(z, factor.T, out=out)
+
+
 def sample_dataset(sigma: Matrix, n: int, seed: int, chol: Matrix | None = None) -> Dataset:
-    """Draw ``n`` i.i.d. rows from N(0, sigma), deterministically in ``seed``.
+    """Draw ``n`` i.i.d. rows from N(0, sigma), deterministically in ``seed`` (an integer >= 0).
 
     ``chol`` may carry sigma's lower Cholesky factor, to skip refactorizing; the
-    rows are ``z @ chol.T`` for every model (experiments draw ``ArDecay`` by :func:`_ar_rows`).
+    rows are ``z @ chol.T`` by :func:`_draw`, the draw of every experiment replication.
     """
+    if not _is_int(n):
+        raise ParameterError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise DataError(f"need n >= 3 observations, got n={n}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ParameterError(f"sigma must be square, got shape {sigma.shape}")
-    if chol is None:
-        chol = cholesky_factor(sigma)
-    z = _rng_for_seed(seed).standard_normal((n, chol.shape[0]))
-    with _ONE_BLAS_THREAD:  # like LAPACK's, the product's bits depend on BLAS's thread count
-        return Dataset(rows=z @ chol.T, seed=seed)
+    if sigma.size == 0:
+        raise ParameterError("sigma must be at least 1 x 1, got shape (0, 0)")
+    if not np.isfinite(sigma).all():
+        raise ParameterError("sigma has non-finite entries")
+    chol = cholesky_factor(sigma) if chol is None else np.asarray(chol, dtype=np.float64)
+    if chol.shape != sigma.shape:
+        raise ParameterError(f"chol must have sigma's shape {sigma.shape}, got {chol.shape}")
+    shape = (int(n), len(sigma))
+    return Dataset(rows=_draw(seed, chol, np.empty(shape), np.empty(shape)), seed=seed)

@@ -6,6 +6,10 @@ Reproducibility contract: a replication is a pure function of
 the streams, and aggregation happens in replication order.  Reports separate
 a deterministic ``payload`` (config echo + results, byte-stable across thread
 counts) from a ``meta`` section holding wall time and runtime facts.
+
+``model`` owns the draw (``model._draw``, the rows of ``sample_dataset`` too) and
+``theory`` the var_n rule, read once per experiment through :func:`_model_theory`;
+this module seeds the replications, reduces their bands and aggregates.
 """
 
 from __future__ import annotations
@@ -42,12 +46,10 @@ from .model import (
     Explicit,
     PolyDecay,
     _ONE_BLAS_THREAD,
-    _ar_rows,
+    _draw,
+    _draw_factor,
     _is_int,
-    _rng_for_seed,
     _set_blas_threads,
-    build_sigma,
-    cholesky_factor,
     model_bandwidth,
 )
 from .theory import VAR_METHODS, _risk_profile, _var_profile, _var_width
@@ -139,8 +141,13 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.n < 4:
             raise ParameterError(f"experiments require n >= 4, got n={self.n}")
-        if not self.c_values:
-            raise ParameterError("need at least one c value")
+        for name, kinds in (("model", CovModel), ("scheme", WeightScheme)):
+            if not isinstance(getattr(self, name), kinds):
+                names = ", ".join(t.__name__ for t in kinds.__args__)
+                raise ParameterError(f"{name} must be one of {names}, got {getattr(self, name)!r}")
+        if not (isinstance(self.c_values, (tuple, list)) and self.c_values):
+            raise ParameterError(f"c_values must be a non-empty tuple, got {self.c_values!r}")
+        self.resolved_c()  # each c, as given, is 'logn' or a number, and is >= 2 at this n
         for name, allowed in (("kind", self.KINDS), ("var_method", (None, *VAR_METHODS))):
             if getattr(self, name) not in allowed:
                 raise ParameterError(f"{name} must be in {allowed}, got {getattr(self, name)!r}")
@@ -217,19 +224,16 @@ class ReplicationRecord:
     loss_curve: NDArray[np.float64]  # per-tau loss, c-independent
 
 
-class _ExperimentContext:
-    """Shared per-experiment precomputation over ``grid``, or else the config's tau grid: Sigma's
-    band to its ``dmax`` and ``||Sigma||_F^2`` by ``_sigma_band``, the Cholesky factor but for
-    ``ArDecay`` (a dense Sigma's one use, not kept), worker arrays."""
+class _Draws:
+    """A config's replications up to their band sums over ``grid``: the factor of
+    ``model._draw_factor`` (built once), the SURE constants, worker arrays."""
 
-    def __init__(self, config: ExperimentConfig, grid=None):
-        self.config, model = config, config.model
-        self.chol = None if isinstance(model, ArDecay) else cholesky_factor(build_sigma(model))
-        self.grid = _Grid(config.scheme, config.tau_grid() if grid is None else grid, config.n)
+    def __init__(self, config: ExperimentConfig, grid):
+        self.config = config
+        self.factor = _draw_factor(config.model)
+        self.grid = _Grid(config.scheme, grid, config.n)
         self.cmap = config.resolved_c()
         self.consts = {k: sure_constants(config.n, c) for k, c in self.cmap.items()}
-        self.sigma_band, self.sig_sq = _sigma_band(model, self.grid.dmax)
-        self.w_sq = self.grid.w**2
         self.local = threading.local()  # per worker thread: its rows and band_gram's arrays
 
     def sums(self, rep_index: int):
@@ -241,15 +245,20 @@ class _ExperimentContext:
         data = ws["data"]
         seed = derive_seed(cfg.base_seed, rep_index)
         # band_gram centres into the normals' array once they are drawn
-        z = _rng_for_seed(seed).standard_normal(out=_buf(ws, "centred", data.rows.shape))
-        if self.chol is None:
-            _ar_rows(z, cfg.model.rho, data.rows)
-        else:
-            with _ONE_BLAS_THREAD:  # sample_dataset's draw, bit for bit at any caller's count
-                np.matmul(z, self.chol.T, out=data.rows)
+        _draw(seed, self.factor, _buf(ws, "centred", data.rows.shape), data.rows)
         band, frob_sq = band_gram(data, self.grid.dmax, ws)
         s1, s2 = _band_sums(band, frob_sq)
         return seed, band, s1, s2
+
+
+class _ExperimentContext(_Draws):
+    """Replications over the config's tau grid with their losses: from Sigma's band to the grid's
+    ``dmax`` and ``||Sigma||_F^2`` by ``_sigma_band`` (the oracle's too), the squared weights."""
+
+    def __init__(self, config: ExperimentConfig):
+        super().__init__(config, config.tau_grid())
+        self.sigma_band, self.sig_sq = _sigma_band(config.model, self.grid.dmax)
+        self.w_sq = self.grid.w**2
 
     def replicate(self, rep_index: int) -> ReplicationRecord:
         seed, band, s1, s2 = self.sums(rep_index)
@@ -352,13 +361,14 @@ def _single_c(config: ExperimentConfig) -> tuple[str, float]:
 
 
 def _model_theory(model: CovModel, n: int, scheme, grid, c: float, var=None):
-    """A model's ``RiskProfile`` over ``grid`` and, given ``var = (method, truncation band)`` of
-    ``_var_width``'s rule, its var_n there (else None), off Sigma's band on one BLAS thread."""
-    k = _var_width(model.p, *var, model)[2] if var else 0
-    band, frob_sq = _sigma_band(model, max(max(grid), k))
+    """A model's ``RiskProfile`` over ``grid`` and, given ``var = (method, truncation band)`` for
+    ``_var_width``'s rule, its var_n there and the method and band the rule applied (else three
+    Nones), off Sigma's band, read once, on one BLAS thread."""
+    method, band, k = _var_width(model.p, *var, model) if var else (None, None, 0)
+    sigma, frob_sq = _sigma_band(model, max(max(grid), k))
     with _ONE_BLAS_THREAD:
-        profile = _risk_profile(band, frob_sq, n, scheme, c, grid)
-        return profile, _var_profile(band[:, :k], n, scheme, grid, c) if var else None
+        risk = _risk_profile(sigma, frob_sq, n, scheme, c, grid)
+        return risk, _var_profile(sigma[:, :k], n, scheme, grid, c) if var else None, method, band
 
 
 def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -375,10 +385,10 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise DataError("clt experiment needs >= 2 replications (KS undefined)")
     (tau,) = _check_grid((config.tau_fixed,))
     ckey, c = _single_c(config)
-    method, band, _ = _var_width(config.p, config.var_method, config.truncation_band, config.model)
-    ctx = _ExperimentContext(config, (tau,))
-    profile, var = _model_theory(config.model, config.n, config.scheme, (tau,), c, (method, band))
-    risk, scale = profile.values[0], math.sqrt(var[0])
+    rule = (config.var_method, config.truncation_band)
+    risks, var, method, band = _model_theory(config.model, config.n, config.scheme, (tau,), c, rule)
+    ctx = _Draws(config, (tau,))
+    risk, scale = risks.values[0], math.sqrt(var[0])
     consts = ctx.consts[ckey]
 
     def one(rep_index: int) -> float:

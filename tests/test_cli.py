@@ -313,6 +313,68 @@ def test_header_only_csv_is_one_data_error_without_warnings(tmp_path):
     assert proc.stderr.splitlines() == [f"error: {path}: need at least 4 observation rows, got 0"]
 
 
+# Runs every command in-process, its stdout captured, and prints {name: [exit code, stdout]}.
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from surecov.cli import main
+done = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        done[name] = [main(argv), out.getvalue()]
+print(json.dumps(done))
+"""
+
+
+def _without_meta(stdout: str):
+    """A JSON report without its ``meta`` (wall time), else the text as it is."""
+    try:
+        report = json.loads(stdout)
+    except json.JSONDecodeError:
+        return stdout
+    report.pop("meta", None)
+    return report
+
+
+def test_every_command_gives_the_same_bytes_under_any_openblas_thread_count(tmp_path):
+    """Each command, run under OPENBLAS_NUM_THREADS=1 and =2, prints the same stdout (but for
+    ``meta``) and writes the same files.  ``select`` on the 40 x 150 CSV (band_gram's dense
+    branch) used to differ in the last bit at most taus; the 20 x 700 CSV takes the blocked one."""
+    for name, seed, shape in (("dense", 2, (40, 150)), ("blocked", 0, (20, 700))):
+        _write_csv(tmp_path / f"{name}.csv", np.random.default_rng(seed).standard_normal(shape))
+    model = ["--model", "poly-decay", "--alpha", "0.5", "--p", "60", "--n", "40"]
+    runs = {
+        name: ["select", "--data", str(tmp_path / f"{name}.csv"), "--profile-out",
+               f"{name}-profile.csv", "--estimate-out", f"{name}-estimate.csv"]
+        for name in ("dense", "blocked")
+    }
+    runs |= {
+        "simulate": ["simulate", *model, "--c", "2,logn", "--reps", "3", "--threads", "2"],
+        "risk": ["risk", *model, "--with-var", "--out", "risk.csv"],
+        "clt": ["clt", *model, "--tau", "4", "--reps", "20"],
+        "table1": ["table1", "model1-a05", "--fast", "--reps", "2", "--format", "csv"],
+        "table2": ["table2", "--fast", "--reps", "2"],
+    }
+    assert {argv[0] for argv in runs.values()} == set(COMMANDS)
+    src = Path(surecov.__file__).resolve().parents[1]
+    seen = []
+    for count in ("1", "2"):
+        cwd = tmp_path / f"threads-{count}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": count}
+        proc = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=300, check=True)
+        done = json.loads(proc.stdout)
+        assert all(code == 0 for code, _ in done.values()), done
+        files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+        seen.append(({name: _without_meta(out) for name, (_, out) in done.items()}, files))
+    (out1, files1), (out2, files2) = seen
+    assert len(files1) == 5 and files1.keys() == files2.keys()
+    for name in runs:
+        assert out1[name] == out2[name], name
+    for name in files1:
+        assert files1[name] == files2[name], name
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["select", "--data", "absent.csv"], "--out"),
     (["select", "--data", "absent.csv"], "--profile-out"),

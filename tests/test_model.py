@@ -104,6 +104,21 @@ def test_sampling_from_a_non_square_sigma_is_a_parameter_error():
         sample_dataset(np.ones((2, 3)), 5, seed=1)
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    # each of these used to return rows or end in a raw TypeError or ValueError
+    ((build_sigma(ArDecay(rho=0.5, p=10)), 5, 1),
+     {"chol": cholesky_factor(build_sigma(ArDecay(rho=0.5, p=20)))},
+     r"chol must have sigma's shape \(10, 10\), got \(20, 20\)"),
+    ((np.zeros((0, 0)), 5, 1), {}, r"sigma must be at least 1 x 1, got shape \(0, 0\)"),
+    ((np.eye(3), 5.5, 1), {}, "n must be an integer, got 5.5"),
+    ((np.eye(3), 5, -1), {}, "seed must be an integer >= 0, got -1"),
+    ((np.full((3, 3), np.nan), 5, 1), {}, "sigma has non-finite entries"),
+], ids=["chol-of-another-p", "empty-sigma", "float-n", "negative-seed", "nan-sigma"])
+def test_bad_sampling_input_is_a_parameter_error(args, kwargs, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        sample_dataset(*args, **kwargs)
+
+
 @pytest.mark.parametrize("k0", [2.5, np.float64(3.0), True])
 def test_banded_uniform_bandwidth_must_be_an_integer(k0):
     # 2.5 was accepted and then run as band int(2.5) = 2 by var_n

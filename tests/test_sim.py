@@ -96,9 +96,7 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(model=model, n=30, c_values=())
     with pytest.raises(ParameterError):
-        ExperimentConfig(model=model, n=30, c_values=("lgn",)).resolved_c()
-    with pytest.raises(ParameterError):
-        ExperimentConfig(model=model, n=30, c_values=(1.0,)).resolved_c()
+        ExperimentConfig(model=model, n=30, c_values=("lgn",))
     # these used to run, echoing the bad value, or run one worker for threads < 0
     with pytest.raises(ParameterError, match="kind must be in .*'consistency'.*, got 'bogus'"):
         ExperimentConfig(model=model, n=30, kind="bogus")
@@ -109,6 +107,20 @@ def test_config_validation():
     with pytest.raises(ParameterError, match="threads must be >= 0, got -4"):
         run_experiment(ExperimentConfig(model=ArDecay(0.5, 10), n=10, replications=2, kind="bogus",
                                         var_method="nonsense", threads=-4))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("scheme", "banding", "scheme must be one of Banding, CzzTaper, CustomToeplitz, got 'banding'"),
+    ("model", "ar", "model must be one of PolyDecay, ArDecay, BandedUniform, Explicit, got 'ar'"),
+    ("c_values", "logn", "c_values must be a non-empty tuple, got 'logn'"),
+    ("c_values", 2.0, "c_values must be a non-empty tuple, got 2.0"),
+    ("c_values", (1.0,), r"penalty multiplier c must be finite and >= 2, got c=1.0"),
+], ids=["scheme-name", "model-name", "c-string", "c-number", "c-below-2"])
+def test_bad_config_values_are_refused_when_the_config_is_built(field, value, message):
+    # each used to pass until the experiment ran: an AttributeError for the first two, "logn"
+    # read one character at a time, and c = 1 refused only when the experiment ran
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        ExperimentConfig(**{"model": ArDecay(rho=0.5, p=8), "n": 30, field: value})
 
 
 @pytest.mark.parametrize("kind", ["table", "clt", "rate", "oracle-ratio", "consistency"])
@@ -263,9 +275,8 @@ def test_every_replication_keeps_its_loss_curve():
 
 
 def test_logn_below_two_names_logn():
-    cfg = ExperimentConfig(model=BandedUniform(k0=3, offdiag=0.3, p=8), n=5, c_values=("logn",))
     with pytest.raises(ParameterError, match=r"got logn = log\(5\)$"):
-        cfg.resolved_c()
+        ExperimentConfig(model=BandedUniform(k0=3, offdiag=0.3, p=8), n=5, c_values=("logn",))
 
 
 def test_payload_bytes_identical_across_thread_counts():
@@ -547,9 +558,10 @@ def test_clt_banded_truncated_above_the_exact_cap():
 
 
 def test_wide_replication_makes_no_p_by_p_array():
-    """An ArDecay context draws by its AR(1) recurrence, so it builds no
-    Cholesky factor, and it reads Sigma's band from the model, so it forms no
-    Sigma; at p >> n a replication reads its band from the rows and makes none."""
+    """An ArDecay context draws by its AR(1) recurrence, with the model as the
+    draw's factor, so it builds no Cholesky factor, and it reads Sigma's band
+    from the model, so it forms no Sigma; at p >> n a replication reads its
+    band from the rows and makes none."""
     p = 4000
     tracemalloc.start()
     try:
@@ -561,7 +573,7 @@ def test_wide_replication_makes_no_p_by_p_array():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert ctx.chol is None
+    assert ctx.factor is ctx.config.model
     assert setup_peak < p * p * 8 / 4  # a quarter of one p x p float64 array
     assert peak < p * p * 8 / 4
     assert math.isfinite(record.loss["2"])
@@ -586,6 +598,19 @@ def test_wide_experiment_oracle_makes_no_p_by_p_array():
     dense = risk_profile(build_sigma(cfg.model), cfg.n, Banding(), 2.0, cfg.tau_grid())
     assert report.results["oracle"]["tau"] == dense.oracle_tau
     assert report.results["oracle"]["min_risk"] == pytest.approx(dense.min_value(), rel=1e-13)
+
+
+def test_clt_reads_sigmas_band_and_applies_the_var_n_rule_once(monkeypatch):
+    """clt's theory step reads Sigma's band and picks the var_n method; its
+    replications, which read neither, used to do both a second time."""
+    calls = []
+    for name in ("_sigma_band", "_var_width"):
+        fn = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    cfg = ExperimentConfig(model=BandedUniform(k0=3, offdiag=0.25, p=80), n=20, replications=3,
+                           kind="clt", tau_fixed=3)
+    assert clt_experiment(cfg).results["var_method"] == "banded-truncated"
+    assert sorted(calls) == ["_sigma_band", "_var_width"]
 
 
 def test_wide_clt_makes_no_p_by_p_array():
