@@ -376,13 +376,14 @@ def cmd_select(ns: argparse.Namespace) -> int:
 
 
 def _experiment_overrides(ns: argparse.Namespace, config: ExperimentConfig) -> ExperimentConfig:
-    """``config`` with every experiment flag that was given."""
+    """``config`` with every experiment flag that was given; ``--p`` resizes any model."""
     given = {
         "replications": ns.replications,
         "base_seed": ns.seed,
         "threads": ns.threads,
         "tau_max": getattr(ns, "tau_max", None),
         "n": ns.n,
+        "model": None if ns.p is None else dataclasses.replace(config.model, p=ns.p),
     }
     return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
@@ -425,16 +426,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         # a positional variant is on the command line, so it beats the config file
         variant = ns.variant_pos or ns.variant or "model1-a05"
         config = table1_config(variant, fast=bool(ns.fast))
-        if ns.p is not None:
-            config = dataclasses.replace(
-                config, model=dataclasses.replace(config.model, p=ns.p)
-            )
     elif ns.preset == "table2":
-        config = table2_config(
-            p=ns.p if ns.p is not None else 500,
-            fast=bool(ns.fast),
-            unit_diagonal=bool(ns.unit_diagonal),
-        )
+        config = table2_config(fast=bool(ns.fast), unit_diagonal=bool(ns.unit_diagonal))
     else:
         config = ExperimentConfig(
             model=model_from_args(ns),

@@ -52,6 +52,7 @@ products of one :class:`_Grid` weight table with such sums, and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +100,10 @@ def resolve_c(c: float | str, n: int) -> float:
         if c != "logn":
             raise ParameterError(f"symbolic c must be 'logn', got {c!r}")
         value, given = math.log(n), f"logn = log({n})"
-    else:
+    elif isinstance(c, numbers.Real):
         value, given = float(c), f"c={c}"
+    else:
+        raise ParameterError(f"penalty multiplier c must be a real number or 'logn', got {c!r}")
     if not 2.0 <= value < np.inf:
         raise ParameterError(f"penalty multiplier c must be finite and >= 2, got {given}")
     return value

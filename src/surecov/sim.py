@@ -160,9 +160,8 @@ class ExperimentConfig:
         return default_tau_grid(self.p, self.n, self.tau_max)
 
     def resolved_c(self) -> dict[str, float]:
-        return {
-            cv if isinstance(cv, str) else f"{cv:g}": resolve_c(cv, self.n) for cv in self.c_values
-        }
+        values = [resolve_c(cv, self.n) for cv in self.c_values]  # before a bad c meets f"{cv:g}"
+        return {cv if isinstance(cv, str) else f"{cv:g}": v for cv, v in zip(self.c_values, values)}
 
     def echo(self) -> dict:
         return {
@@ -208,9 +207,9 @@ class ExperimentReport:
         payload = {"config": self.config, "results": self.results}
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         doc = {"config": self.config, "results": self.results, "meta": self.meta}
-        return json.dumps(doc, sort_keys=True, indent=indent)
+        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 @dataclass(frozen=True)
@@ -310,9 +309,13 @@ def _mean_se(values: NDArray[np.float64]) -> tuple[float, float | None]:
     return m, sd / math.sqrt(values.size)
 
 
-def _meta(t0: float, threads: int) -> dict:
-    """A report's ``meta``, never in ``payload_bytes``: time since ``t0``, pool size."""
-    return {"wall_time_s": time.perf_counter() - t0, "threads": max(threads, 1)}
+def _report(
+    config: ExperimentConfig, results: dict, t0: float, echo: dict | None = None
+) -> ExperimentReport:
+    """The report of ``results`` under ``echo`` (``config``'s by default), with a ``meta``, never
+    in ``payload_bytes``, of the time since ``t0`` and ``config``'s pool size."""
+    meta = {"wall_time_s": time.perf_counter() - t0, "threads": max(config.threads, 1)}
+    return ExperimentReport(config=config.echo() if echo is None else echo, results=results, meta=meta)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -350,7 +353,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "tau": oracle.oracle_tau,
         "min_risk": oracle.min_value(),
     }
-    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
+    return _report(config, results, t0)
 
 
 def _single_c(config: ExperimentConfig) -> tuple[str, float]:
@@ -408,7 +411,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         "standardized_var": float(np.var(sample, ddof=1)),
         "ks_distance": ks_statistic(sample),
     }
-    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
+    return _report(config, results, t0)
 
 
 def fit_loglog_slope(ns: NDArray[np.float64], losses: NDArray[np.float64]) -> float:
@@ -425,7 +428,6 @@ def rate_experiment(
     n_list: list[int],
     reps: int,
     base_seed: int = 0,
-    threads: int = 0,
 ) -> ExperimentReport:
     """Fit the decay exponent of the SURE-tuned loss in n.
 
@@ -446,7 +448,6 @@ def rate_experiment(
             replications=reps,
             base_seed=derive_seed(base_seed, n),
             kind="rate",
-            threads=threads,
         )
         report = run_experiment(config)
         stats = report.results["per_c"]["2"]
@@ -467,7 +468,7 @@ def rate_experiment(
         "base_seed": base_seed,
         "kind": "rate",
     }
-    return ExperimentReport(config=config_echo, results=results, meta=_meta(t0, threads))
+    return _report(config, results, t0, config_echo)
 
 
 def oracle_ratio_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -486,13 +487,13 @@ def oracle_ratio_experiment(config: ExperimentConfig) -> ExperimentReport:
         "ratio": ratio,
         "ratio_half_width": (1.96 * se / oracle["min_risk"]) if se is not None else None,
     }
-    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
+    return _report(config, results, t0)
 
 
-def consistency_experiment(config: ExperimentConfig, n_list: list[int] | None = None) -> ExperimentReport:
+def consistency_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Bandwidth recovery of the log(n)-penalized criterion on banded models.
 
-    For each n, reports the fraction of replications with the
+    Reports, at the config's n, the fraction of replications with the
     ``c = log n`` selection equal to the true bandwidth ``k0``, and the
     fraction with the ``c = 2`` selection inside ``[k0, k0 + ceil(log n)]``.
     """
@@ -500,27 +501,20 @@ def consistency_experiment(config: ExperimentConfig, n_list: list[int] | None = 
     k0 = model_bandwidth(config.model)
     if k0 is None:
         raise ParameterError("consistency experiment requires a model with an exact bandwidth")
-    ns = list(n_list) if n_list is not None else [config.n]
-    per_n = []
-    for n in ns:
-        cfg = replace(config, n=n, c_values=(2.0, "logn"), kind="consistency")
-        report = run_experiment(cfg)
-        hist_logn = report.results["per_c"]["logn"]["selection_histogram"]
-        hist_sure2 = report.results["per_c"]["2"]["selection_histogram"]
-        reps = cfg.replications
-        exact = hist_logn.get(str(k0), 0) / reps
-        window_hi = k0 + math.ceil(math.log(n))
-        in_window = sum(v for t, v in hist_sure2.items() if k0 <= int(t) <= window_hi) / reps
-        per_n.append({
-            "n": n,
-            "frac_logn_equals_k0": exact,
-            "frac_sure2_in_window": in_window,
-            "window": [k0, window_hi],
-            "histogram_logn": hist_logn,
-            "histogram_sure2": hist_sure2,
-        })
-    results = {"k0": k0, "per_n": per_n}
-    return ExperimentReport(config=config.echo(), results=results, meta=_meta(t0, config.threads))
+    per_c = run_experiment(replace(config, c_values=(2.0, "logn"), kind="consistency")).results["per_c"]
+    hist_logn = per_c["logn"]["selection_histogram"]
+    hist_sure2 = per_c["2"]["selection_histogram"]
+    window_hi = k0 + math.ceil(math.log(config.n))
+    in_window = sum(v for t, v in hist_sure2.items() if k0 <= int(t) <= window_hi)
+    per_n = [{
+        "n": config.n,
+        "frac_logn_equals_k0": hist_logn.get(str(k0), 0) / config.replications,
+        "frac_sure2_in_window": in_window / config.replications,
+        "window": [k0, window_hi],
+        "histogram_logn": hist_logn,
+        "histogram_sure2": hist_sure2,
+    }]
+    return _report(config, {"k0": k0, "per_n": per_n}, t0)
 
 
 # --- presets -------------------------------------------------------------
@@ -534,12 +528,18 @@ TABLE1_VARIANTS: dict[str, CovModel] = {
 }
 
 
+def _preset(model: CovModel, fast: bool, replications: int | None, **fields) -> ExperimentConfig:
+    """A benchmark preset: banding at n=250, with ``replications`` (30 if ``fast``, else 100)."""
+    if replications is None:
+        replications = 30 if fast else 100
+    return ExperimentConfig(model=model, n=250, scheme=Banding(), replications=replications, **fields)
+
+
 def table1_config(
     variant: str,
     fast: bool = False,
     replications: int | None = None,
     base_seed: int = 0,
-    threads: int = 0,
 ) -> ExperimentConfig:
     """Benchmark preset: SURE_2-tuned banding on the decay models."""
     if variant not in TABLE1_VARIANTS:
@@ -547,19 +547,7 @@ def table1_config(
             f"unknown table1 variant {variant!r}; choose from {sorted(TABLE1_VARIANTS)}"
         )
     model = TABLE1_VARIANTS[variant]
-    if fast:
-        model = replace(model, p=100)
-    reps = replications if replications is not None else (30 if fast else 100)
-    return ExperimentConfig(
-        model=model,
-        n=250,
-        scheme=Banding(),
-        c_values=(2.0,),
-        replications=reps,
-        base_seed=base_seed,
-        kind="table",
-        threads=threads,
-    )
+    return _preset(replace(model, p=100) if fast else model, fast, replications, base_seed=base_seed)
 
 
 def table2_config(
@@ -567,20 +555,10 @@ def table2_config(
     fast: bool = False,
     replications: int | None = None,
     base_seed: int = 0,
-    threads: int = 0,
     unit_diagonal: bool = False,
 ) -> ExperimentConfig:
     """Benchmark preset: bandwidth selection on the exactly banded model."""
-    if fast:
-        p = min(p, 100)
-    reps = replications if replications is not None else (30 if fast else 100)
-    return ExperimentConfig(
-        model=BandedUniform(k0=5, offdiag=0.25, p=p, unit_diagonal=unit_diagonal),
-        n=250,
-        scheme=Banding(),
-        c_values=(2.0, "logn"),
-        replications=reps,
-        base_seed=base_seed,
-        kind="consistency",
-        threads=threads,
+    model = BandedUniform(k0=5, offdiag=0.25, p=min(p, 100) if fast else p, unit_diagonal=unit_diagonal)
+    return _preset(
+        model, fast, replications, c_values=(2.0, "logn"), base_seed=base_seed, kind="consistency"
     )

@@ -946,8 +946,11 @@ def test_negative_threads_is_a_usage_error(capsys, argv):
 def test_clt_theory_is_the_tau_row_of_risk_with_var(capsys, model, tau):
     """clt and ``risk --with-var`` share one theory step: clt's var_n is the tau row
     of the risk table digit for digit, and its risk agrees to rounding.  The risk is
-    not bitwise the row's: its product with the weight table sums in an order that
-    depends on the number of taus in the grid, here one against tau."""
+    not bitwise the row's.  Here both grids end at tau, so both read the same band
+    sums, tail bin included; the last bits differ because clt's one-row product of
+    the weights with those sums adds in another order than the table's product
+    over its tau rows.  A table grid wider than tau would also fold fewer distances
+    into its tail bin than clt's one-point grid does."""
     common = [*model, "--n", "40", "--scheme", "czz", "--c", "3"]
     assert main(["risk", *common, "--tau-max", str(tau), "--with-var"]) == 0
     row = capsys.readouterr().out.splitlines()[tau].split(",")
@@ -1030,10 +1033,12 @@ def test_table_presets_via_cli(tmp_path, capsys):
     assert report["results"]["k0"] == 5
 
 
-def test_table1_p_overrides_the_fast_preset(capsys):
-    assert main(["table1", "model2-r05", "--fast", "--p", "40", "--n", "30", "--reps", "2"]) == 0
+@pytest.mark.parametrize("preset", [["table1", "model2-r05"], ["table2"]], ids=["table1", "table2"])
+def test_p_overrides_the_fast_preset(capsys, preset):
+    # table2 --fast used to cap a given --p at 100, where table1 --fast took it as given
+    assert main([*preset, "--fast", "--p", "140", "--n", "30", "--reps", "2"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert config["p"] == config["model"]["p"] == 40
+    assert config["p"] == config["model"]["p"] == 140
     assert config["n"] == 30
 
 

@@ -53,6 +53,9 @@ def test_constants_validation():
         sure_constants(250, 1.5)  # c < 2
     with pytest.raises(DataError):
         sure_constants(2, 2.0)
+    # a c that is neither a string nor a real number used to end in float()'s TypeError
+    with pytest.raises(ParameterError, match=r"^penalty multiplier c must be a real number or 'logn', got \[2\]$"):
+        sure_constants(30, [2])
 
 
 def test_band_sums_hand_case():

@@ -115,10 +115,12 @@ def test_config_validation():
     ("c_values", "logn", "c_values must be a non-empty tuple, got 'logn'"),
     ("c_values", 2.0, "c_values must be a non-empty tuple, got 2.0"),
     ("c_values", (1.0,), r"penalty multiplier c must be finite and >= 2, got c=1.0"),
-], ids=["scheme-name", "model-name", "c-string", "c-number", "c-below-2"])
+    ("c_values", (None,), "penalty multiplier c must be a real number or 'logn', got None"),
+], ids=["scheme-name", "model-name", "c-string", "c-number", "c-below-2", "c-none"])
 def test_bad_config_values_are_refused_when_the_config_is_built(field, value, message):
     # each used to pass until the experiment ran: an AttributeError for the first two, "logn"
-    # read one character at a time, and c = 1 refused only when the experiment ran
+    # read one character at a time, and c = 1 refused only when the experiment ran; c = None
+    # ended in a TypeError from formatting its key
     with pytest.raises(ParameterError, match=f"^{message}$"):
         ExperimentConfig(**{"model": ArDecay(rho=0.5, p=8), "n": 30, field: value})
 
@@ -286,6 +288,27 @@ def test_payload_bytes_identical_across_thread_counts():
     # meta is excluded from the canonical payload
     assert b"wall_time" not in r1.payload_bytes()
     assert "wall_time_s" in r1.meta
+
+
+_REPORT_CFG = ExperimentConfig(model=BandedUniform(k0=3, offdiag=0.3, p=12), n=20, replications=3,
+                               base_seed=1, threads=2)
+
+
+@pytest.mark.parametrize("run, config", [
+    (run_experiment, _REPORT_CFG),
+    (clt_experiment, replace(_REPORT_CFG, kind="clt", tau_fixed=2)),
+    (consistency_experiment, replace(_REPORT_CFG, kind="consistency")),
+    (oracle_ratio_experiment, replace(_REPORT_CFG, kind="oracle-ratio")),
+    # rate builds its own config per n, each at the default pool size
+    (lambda _: rate_experiment(alpha=0.5, rho=0.6, p=8, n_list=[10, 20, 40], reps=2),
+     replace(_REPORT_CFG, threads=0)),
+], ids=["table", "clt", "consistency", "oracle-ratio", "rate"])
+def test_every_runner_keeps_its_wall_time_and_pool_size_in_meta_only(run, config):
+    report = run(config)
+    assert set(report.meta) == {"wall_time_s", "threads"}
+    assert report.meta["threads"] == max(config.threads, 1)
+    assert set(json.loads(report.payload_bytes())) == {"config", "results"}
+    assert b"wall_time" not in report.payload_bytes()
 
 
 def test_replications_run_on_one_blas_thread():
