@@ -38,7 +38,6 @@ from .estimate import Banding, CzzTaper, WeightScheme, band_gram
 from .model import ArDecay, BandedUniform, CovModel, Dataset, PolyDecay
 from .sim import (
     ExperimentConfig,
-    _model_theory,
     clt_experiment,
     consistency_experiment,
     oracle_ratio_experiment,
@@ -47,7 +46,7 @@ from .sim import (
     table2_config,
     TABLE1_VARIANTS,
 )
-from .theory import VAR_METHODS
+from .theory import VAR_METHODS, _model_theory
 
 __all__ = ["main", "read_matrix_csv", "load_config_file"]
 
@@ -340,6 +339,8 @@ def scheme_from_name(name: str | None) -> WeightScheme:
 def cmd_select(ns: argparse.Namespace) -> int:
     if ns.data is None:
         raise ParameterError("select requires --data")
+    if ns.format is not None and ns.estimate_out is None:
+        raise ParameterError("--format applies only to --estimate-out")
     _default(ns, "c", 2.0)
     scheme = scheme_from_name(ns.scheme)
     data = Dataset(rows=read_matrix_csv(ns.data))
@@ -429,6 +430,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     elif ns.preset == "table2":
         config = table2_config(fast=bool(ns.fast), unit_diagonal=bool(ns.unit_diagonal))
     else:
+        if ns.kind == "consistency" and ns.c:
+            raise ParameterError("--kind consistency runs c = 2 and logn and takes no --c")
         config = ExperimentConfig(
             model=model_from_args(ns),
             n=ns.n,
@@ -446,6 +449,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def cmd_risk(ns: argparse.Namespace) -> int:
+    if not ns.with_var and (ns.var_method, ns.truncation_band) != (None, None):
+        raise ParameterError("--var-method and --truncation-band apply only with --with-var")
     model = model_from_args(ns)
     _default(ns, "c", 2.0)
     c = resolve_c(ns.c, ns.n)

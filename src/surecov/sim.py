@@ -8,8 +8,8 @@ a deterministic ``payload`` (config echo + results, byte-stable across thread
 counts) from a ``meta`` section holding wall time and runtime facts.
 
 ``model`` owns the draw (``model._draw``, the rows of ``sample_dataset`` too) and
-``theory`` the var_n rule, read once per experiment through :func:`_model_theory`;
-this module seeds the replications, reduces their bands and aggregates.
+``theory`` the var_n rule and clt's theory step (``theory._model_theory``); this module
+seeds the replications, reduces their bands and aggregates.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .model import (
     _set_blas_threads,
     model_bandwidth,
 )
-from .theory import VAR_METHODS, _risk_profile, _var_profile, _var_width
+from .theory import VAR_METHODS, _model_theory, _risk_profile
 
 __all__ = [
     "ExperimentConfig",
@@ -122,7 +122,7 @@ class ExperimentConfig:
     KINDS = ("table", "clt", "rate", "oracle-ratio", "consistency")  # of ``kind``; not a field
     kind: str = "table"
     tau_fixed: int | None = None  # clt only
-    var_method: str | None = None  # clt only: one of theory.VAR_METHODS, or None = auto
+    var_method: str | None = None  # clt only: None = from the truncation band, else automatic
     truncation_band: int | None = None
     threads: int = 0  # replication pool size; 0 and 1 both mean one worker
 
@@ -363,17 +363,6 @@ def _single_c(config: ExperimentConfig) -> tuple[str, float]:
     return next(iter(cmap.items()))
 
 
-def _model_theory(model: CovModel, n: int, scheme, grid, c: float, var=None):
-    """A model's ``RiskProfile`` over ``grid`` and, given ``var = (method, truncation band)`` for
-    ``_var_width``'s rule, its var_n there and the method and band the rule applied (else three
-    Nones), off Sigma's band, read once, on one BLAS thread."""
-    method, band, k = _var_width(model.p, *var, model) if var else (None, None, 0)
-    sigma, frob_sq = _sigma_band(model, max(max(grid), k))
-    with _ONE_BLAS_THREAD:
-        risk = _risk_profile(sigma, frob_sq, n, scheme, c, grid)
-        return risk, _var_profile(sigma[:, :k], n, scheme, grid, c) if var else None, method, band
-
-
 def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Standardize SURE_c(tau) at a fixed tau and test empirical normality.
 
@@ -493,15 +482,16 @@ def oracle_ratio_experiment(config: ExperimentConfig) -> ExperimentReport:
 def consistency_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Bandwidth recovery of the log(n)-penalized criterion on banded models.
 
-    Reports, at the config's n, the fraction of replications with the
-    ``c = log n`` selection equal to the true bandwidth ``k0``, and the
-    fraction with the ``c = 2`` selection inside ``[k0, k0 + ceil(log n)]``.
+    Reports, at the config's n, the fraction of replications with the ``c = log n`` selection
+    equal to the true bandwidth ``k0``, and the fraction with the ``c = 2`` selection inside
+    ``[k0, k0 + ceil(log n)]``.  It runs and echoes these two c, whatever ``config.c_values`` holds.
     """
     t0 = time.perf_counter()
     k0 = model_bandwidth(config.model)
     if k0 is None:
         raise ParameterError("consistency experiment requires a model with an exact bandwidth")
-    per_c = run_experiment(replace(config, c_values=(2.0, "logn"), kind="consistency")).results["per_c"]
+    config = replace(config, c_values=(2.0, "logn"), kind="consistency")
+    per_c = run_experiment(config).results["per_c"]
     hist_logn = per_c["logn"]["selection_histogram"]
     hist_sure2 = per_c["2"]["selection_histogram"]
     window_hi = k0 + math.ceil(math.log(config.n))

@@ -3,7 +3,7 @@
 Everything here is a deterministic function of the true covariance ``Sigma``.
 Risk and variance read only its band (to tau_max or the truncation band) and ``||Sigma||_F^2``:
 each public function takes them off a dense ``Sigma`` by ``estimate._band`` for a core that
-``sim._model_theory``, the one theory step of ``risk`` and ``clt``, calls on a model's band.
+:func:`_model_theory`, the one theory step of ``risk`` and ``clt``, calls on a model's band.
 
 Risk
 ----
@@ -82,8 +82,8 @@ from .criterion import (
     _band_sums, _check_grid, _Grid, _smallest_argmin, default_tau_grid, sure_constants
 )
 from .errors import DataError, NumericalError, ParameterError
-from .estimate import WeightScheme, _band
-from .model import Matrix, _is_int, model_bandwidth
+from .estimate import WeightScheme, _band, _sigma_band
+from .model import _ONE_BLAS_THREAD, CovModel, Matrix, _is_int, model_bandwidth
 
 __all__ = [
     "CoeffSet",
@@ -174,10 +174,14 @@ def _risk_profile(band: Matrix, frob_sq: float, n: int, scheme, c: float, tau_gr
     grid = _Grid(scheme, tau_grid, n)
     t1, t2 = _band_sums(band[:, : grid.dmax], frob_sq)
     w = grid.w
-    # f1(0) = 1 counts the tail bin's sigma_ij^2 in full; f2(0) = 0
-    f1 = (n - 1) / n * w**2 - (2 * n - c) / n * w + 1.0
-    f2 = (n - 1) / n**2 * w**2 + (c - 2.0) / n * w
-    values = f1 @ t1 + f2 @ t2
+    # R(tau) = ||Sigma||_F^2 + sum_d (f1 - 1) t1 + f2 t2, whose terms are exactly 0 where w is,
+    # so from d = tau on: one correctly rounded sum per tau, whatever the grid around it
+    terms = ((n - 1) / n * w**2 - (2 * n - c) / n * w) * t1  # (f1 - 1) t1
+    terms += ((n - 1) / n**2 * w**2 + (c - 2.0) / n * w) * t2  # f2 t2
+    try:
+        values = np.array([math.fsum([frob_sq, *row[:t].tolist()]) for t, row in zip(grid.taus, terms)])
+    except (OverflowError, ValueError):  # the covariance overflows: _smallest_argmin says so
+        values = np.full(len(grid.taus), np.nan)
     return RiskProfile(grid.taus, values, float(c), _smallest_argmin(grid.taus, values))
 
 
@@ -329,7 +333,7 @@ def var_profile(
     scheme: WeightScheme,
     tau_grid: Sequence[int],
     c: float = 2.0,
-    method: str = "exact",
+    method: str | None = None,
     truncation_band: int | None = None,
 ) -> NDArray[np.float64]:
     """The four-term variance approximation at every tau of ``tau_grid``.
@@ -341,46 +345,46 @@ def var_profile(
     does the tau-independent part once, in O(p k^3) time, then
     O(|grid| p k (k + tau_max)) for the whole grid, in chunks of the sorted
     grid that keep memory at O(p (k + tau_max)).  ``method="exact"`` is this
-    path at ``truncation_band = p``: O(p^4) once plus O(|grid| p^3).  Either
-    way only sigma's band to k = min(truncation band, p) is read, and k may not
-    exceed ``VAR_EXACT_CAP``; ``risk`` and ``clt`` pass a model's band without forming sigma.
+    path at ``truncation_band = p``: O(p^4) once plus O(|grid| p^3).  With no method, a
+    truncation band means ``banded-truncated`` and none ``exact``.  Either way only sigma's band
+    to k = min(truncation band, p) is read, and k may not exceed ``VAR_EXACT_CAP``; ``risk`` and
+    ``clt`` pass a model's band without forming sigma.
     """
     k = _var_width(len(sigma), method, truncation_band)[2]
     return _var_profile(_band(sigma, k)[0], n, scheme, tau_grid, c)
 
 
 def _var_width(p: int, method: str | None, truncation_band: int | None, model=None):
-    """The var_n method rule: ``(method, truncation band used or None, width of Sigma's band
-    read)``, p for exact, else the band <= p, either capped at ``VAR_EXACT_CAP``.  With no method
-    and a ``model``, the automatic pick: ``exact`` to ``VAR_EXACT_CAP``, else ``banded-truncated``
-    at its bandwidth."""
-    if method is None and model is not None:
-        method = "exact"
-        if p > VAR_EXACT_CAP:
-            method, truncation_band = "banded-truncated", model_bandwidth(model)
-            if truncation_band is None:
-                raise ParameterError(
-                    f"cannot pick a var_n method automatically at p={p}: "
-                    "pass var_method='banded-truncated' with a truncation_band"
-                )
-    if method == "exact":
-        if p > VAR_EXACT_CAP:
-            raise ParameterError(
-                f"exact var_n is O(p^4) and capped at p={VAR_EXACT_CAP}; "
-                f"got p={p} -- use method='banded-truncated' with a truncation band"
-            )
-        return method, None, p
-    if method == "banded-truncated":
-        if not (_is_int(truncation_band) and truncation_band >= 1):
-            raise ParameterError("banded-truncated var_n needs an integer truncation_band >= 1")
-        k = min(int(truncation_band), p)
-        if k > VAR_EXACT_CAP:
-            raise ParameterError(
-                f"var_n reads a band of width {k}, above the cap of {VAR_EXACT_CAP}: its cost "
-                "grows as p k^3 -- for a banded Sigma pass its bandwidth as the truncation band"
-            )
-        return method, int(truncation_band), k
-    raise ParameterError(f"unknown var_n method {method!r}")
+    """The var_n method rule: ``(method, band used or None, width k of Sigma's band read)``.  With
+    no method, a truncation band means ``banded-truncated`` and none ``exact``, but a ``model`` wider
+    than ``VAR_EXACT_CAP`` with no band is read at its bandwidth.  ``exact`` reads k = p and leaves
+    a band unused, ``banded-truncated`` k = min(band, p); k is capped at ``VAR_EXACT_CAP``."""
+    if method is None:
+        if truncation_band is None and model is not None and p > VAR_EXACT_CAP:
+            truncation_band = model_bandwidth(model)
+        method = "exact" if truncation_band is None else "banded-truncated"
+    if method not in VAR_METHODS:
+        raise ParameterError(f"unknown var_n method {method!r}")
+    band = None if method == "exact" else truncation_band
+    if method != "exact" and not (_is_int(band) and band >= 1):
+        raise ParameterError("banded-truncated var_n needs an integer truncation_band >= 1")
+    k = p if band is None else min(int(band), p)
+    if k > VAR_EXACT_CAP:
+        raise ParameterError(f"var_n reads a band of width {k}, above the cap of {VAR_EXACT_CAP}: its "
+                             "cost grows as p k^3 -- for a banded Sigma pass its bandwidth as the "
+                             "truncation band, where banded-truncated is lossless")
+    return method, None if band is None else int(band), k
+
+
+def _model_theory(model: CovModel, n: int, scheme, grid, c: float, var=None):
+    """A model's ``RiskProfile`` over ``grid`` and, given ``var = (method, truncation band)`` for
+    ``_var_width``'s rule, its var_n there and the method and band the rule applied (else three
+    Nones), off Sigma's band, read once, on one BLAS thread."""
+    method, band, k = _var_width(model.p, *var, model) if var else (None, None, 0)
+    sigma, frob_sq = _sigma_band(model, max(max(grid), k))
+    with _ONE_BLAS_THREAD:
+        risk = _risk_profile(sigma, frob_sq, n, scheme, c, grid)
+        return risk, _var_profile(sigma[:, :k], n, scheme, grid, c) if var else None, method, band
 
 
 def var_n(
@@ -389,7 +393,7 @@ def var_n(
     scheme: WeightScheme,
     tau: int,
     c: float = 2.0,
-    method: str = "exact",
+    method: str | None = None,
     truncation_band: int | None = None,
 ) -> VarApprox:
     """Evaluate the four-term variance approximation at one tau: the one-point

@@ -944,20 +944,57 @@ def test_negative_threads_is_a_usage_error(capsys, argv):
     (["--model", "banded-uniform", "--k0", "4", "--p", "200"], 6),  # banded-truncated at k0
 ])
 def test_clt_theory_is_the_tau_row_of_risk_with_var(capsys, model, tau):
-    """clt and ``risk --with-var`` share one theory step: clt's var_n is the tau row
-    of the risk table digit for digit, and its risk agrees to rounding.  The risk is
-    not bitwise the row's.  Here both grids end at tau, so both read the same band
-    sums, tail bin included; the last bits differ because clt's one-row product of
-    the weights with those sums adds in another order than the table's product
-    over its tau rows.  A table grid wider than tau would also fold fewer distances
-    into its tail bin than clt's one-point grid does."""
+    """clt and ``risk --with-var`` share one theory step: clt's risk and var_n are the
+    tau row of the risk table digit for digit.  The risk is bitwise the row's because
+    R_c(tau) is one correctly rounded sum over the distances below tau, whatever the
+    grid around tau.  var_n is bitwise the row's here because both grids end at tau."""
     common = [*model, "--n", "40", "--scheme", "czz", "--c", "3"]
     assert main(["risk", *common, "--tau-max", str(tau), "--with-var"]) == 0
     row = capsys.readouterr().out.splitlines()[tau].split(",")
     assert main(["clt", *common, "--tau", str(tau), "--reps", "3"]) == 0
     res = json.loads(capsys.readouterr().out)["results"]
-    assert [row[0], row[2]] == [str(tau), repr(res["var_n"])]
-    assert res["risk"] == pytest.approx(float(row[1]), rel=1e-14, abs=0)
+    assert row == [str(tau), repr(res["risk"]), repr(res["var_n"])]
+
+
+_BANDED = ["--model", "banded-uniform", "--k0", "5", "--p", "100", "--n", "50"]
+_AR20 = ["risk", "--model", "ar-decay", "--rho", "0.5", "--p", "20", "--n", "50", "--tau-max", "3",
+         "--with-var", "--truncation-band", "2"]
+
+
+@pytest.mark.parametrize("argv, check", [
+    # clt ran at band 5, the model's, and echoed the 2 it was given
+    (["clt", *_BANDED, "--tau", "3", "--reps", "5", "--truncation-band", "2"], "reported"),
+    # a given band was refused above p = 64 until a method came with it
+    (["risk", "--model", "poly-decay", "--alpha", "0.5", "--p", "100", "--n", "50",
+      "--tau-max", "3", "--with-var", "--truncation-band", "4"], "accepted"),
+    # a given band was dropped at p <= 64 for exact var_n
+    (_AR20, "banded"),
+], ids=["clt-reports-its-band", "band-without-method", "band-at-small-p"])
+def test_a_truncation_band_without_a_method_means_banded_truncated(capsys, argv, check):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if check == "reported":
+        report = json.loads(out)
+        assert report["config"]["truncation_band"] == 2
+        assert (report["results"]["var_method"], report["results"]["truncation_band"]) == (
+            "banded-truncated", 2)
+    elif check == "banded":
+        assert main([*argv, "--var-method", "banded-truncated"]) == 0
+        assert out == capsys.readouterr().out
+        assert out.splitlines()[1].split(",")[2] == "3.9433051112751514"  # exact's is 10.85...
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["risk", "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "20",
+      "--truncation-band", "2"], "--var-method and --truncation-band apply only with --with-var"),
+    (["select", "--data", "data.csv", "--format", "band"], "--format applies only to --estimate-out"),
+    (["simulate", "--model", "banded-uniform", "--p", "10", "--n", "20", "--reps", "3",
+      "--kind", "consistency", "--c", "3"], "--kind consistency runs c = 2 and logn and takes no --c"),
+], ids=["risk", "select", "simulate"])
+def test_a_flag_that_would_be_ignored_is_a_usage_error(capsys, argv, message):
+    # each of these used to exit 0 with the flag unused
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_clt_with_one_replication_is_a_usage_error(capsys):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from surecov import cli, sim
+from surecov import cli, sim, theory
 from surecov.criterion import _band_sums, sure_constants, sure_profile
 from surecov.errors import DataError, ParameterError
 from surecov.estimate import _BLOCK, Banding, CzzTaper, band_gram, mle_cov, taper
@@ -324,6 +324,14 @@ def test_replications_run_on_one_blas_thread():
         assert setter(before) == before
 
 
+def test_consistency_echoes_the_c_values_it_ran():
+    # it runs c = 2 and log n whatever the config holds, and used to echo the config's
+    cfg = ExperimentConfig(model=BandedUniform(k0=2, offdiag=0.25, p=10), n=20, c_values=(3.0,),
+                           replications=3)
+    echo = consistency_experiment(cfg).config
+    assert (echo["c_values"], echo["kind"]) == ([2.0, "logn"], "consistency")
+
+
 def test_model_theory_runs_on_one_blas_thread(monkeypatch, capsys):
     """clt's risk and var_n, like ``risk --with-var``'s, are computed with BLAS on one
     thread, and the caller's BLAS thread count comes back afterwards."""
@@ -339,7 +347,7 @@ def test_model_theory_runs_on_one_blas_thread(monkeypatch, capsys):
         return counted
 
     for name in ("_risk_profile", "_var_profile"):
-        monkeypatch.setattr(sim, name, spy(getattr(sim, name)))
+        monkeypatch.setattr(theory, name, spy(getattr(theory, name)))
     before = setter(2)
     try:
         clt_experiment(ExperimentConfig(model=ArDecay(rho=0.5, p=10), n=20, replications=3,
@@ -627,9 +635,9 @@ def test_clt_reads_sigmas_band_and_applies_the_var_n_rule_once(monkeypatch):
     """clt's theory step reads Sigma's band and picks the var_n method; its
     replications, which read neither, used to do both a second time."""
     calls = []
-    for name in ("_sigma_band", "_var_width"):
-        fn = getattr(sim, name)
-        monkeypatch.setattr(sim, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    for module, name in ((sim, "_sigma_band"), (theory, "_sigma_band"), (theory, "_var_width")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     cfg = ExperimentConfig(model=BandedUniform(k0=3, offdiag=0.25, p=80), n=20, replications=3,
                            kind="clt", tau_fixed=3)
     assert clt_experiment(cfg).results["var_method"] == "banded-truncated"

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surecov.criterion import default_tau_grid
 from surecov.errors import DataError, NumericalError, ParameterError
 from surecov.estimate import Banding, CustomToeplitz, CzzTaper, _sigma_band, taper
-from surecov.model import ArDecay, BandedUniform, _toeplitz, build_sigma
+from surecov.model import ArDecay, BandedUniform, PolyDecay, _toeplitz, build_sigma
 from surecov.theory import (
     VAR_EXACT_CAP,
+    _model_theory,
     _var_profile,
     coeffs,
     exact_sure_variance,
@@ -116,6 +118,20 @@ def test_risk_oracle_locations_on_banded_models():
         sigma = build_sigma(BandedUniform(k0=k0, offdiag=0.25, p=60))
         assert risk_profile(sigma, 250, Banding()).oracle_tau == k0
         assert risk_profile(sigma, 250, CzzTaper()).oracle_tau == 2 * k0 - 3
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0, math.log(40)], ids=["c2", "c3", "clog40"])
+@pytest.mark.parametrize("scheme", [Banding(), CzzTaper()], ids=lambda s: s.name)
+@pytest.mark.parametrize("model", [
+    ArDecay(rho=0.5, p=10), PolyDecay(rho=0.6, alpha=0.5, p=10), BandedUniform(k0=3, offdiag=0.25, p=10)
+], ids=["ar", "poly", "banded"])
+def test_risk_at_a_tau_is_the_same_on_every_grid(model, scheme, c):
+    """R_c(tau) depends on tau alone: at each tau, a one-point grid, as clt reads it, gives
+    the default grid's row bit for bit.  Their last bits used to differ in about half the
+    cases, with the grid's largest tau and its tail bin."""
+    grid = default_tau_grid(model.p, 40)
+    rows = _model_theory(model, 40, scheme, grid, c)[0].values.tolist()
+    assert [_model_theory(model, 40, scheme, (t,), c)[0].values[0] for t in grid] == rows
 
 
 def _var_n_brute_force(sigma, n, scheme, tau, c):
@@ -305,6 +321,17 @@ def test_var_n_is_the_one_point_profile(method, band):
         approx = var_n(sigma, 50, CzzTaper(), tau, 2.5, method, band)
         assert approx.value == var_profile(sigma, 50, CzzTaper(), (tau,), 2.5, method, band)[0]
         assert (approx.tau, approx.method, approx.truncation_band) == (tau, method, band)
+
+
+def test_a_truncation_band_without_a_method_is_banded_truncated():
+    # the band used to go unused, for exact var_n
+    sigma = build_sigma(ArDecay(rho=0.5, p=20))
+    approx = var_n(sigma, 50, Banding(), 1, truncation_band=2)
+    assert (approx.method, approx.truncation_band) == ("banded-truncated", 2)
+    assert approx.value == var_n(sigma, 50, Banding(), 1, 2.0, "banded-truncated", 2).value
+    assert approx.value != var_n(sigma, 50, Banding(), 1).value  # exact, with no band
+    assert list(var_profile(sigma, 50, Banding(), (1, 2), truncation_band=2)) == list(
+        var_profile(sigma, 50, Banding(), (1, 2), 2.0, "banded-truncated", 2))
 
 
 def test_var_profile_over_a_grid_allocates_no_p_by_p_array():
