@@ -20,6 +20,7 @@ given on the command line win.  Exit codes: 0 success, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import dataclasses
@@ -83,13 +84,14 @@ def parse_bool(text: str) -> bool:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and #-comments ignored."""
+    """Flat ``key = value`` lines; blank lines and #-comments ignored, and a UTF-8 byte-order
+    mark too."""
     p = Path(path)
     if not p.is_file():
         raise ParameterError(f"config file not found: {path}")
     entries: dict[str, str] = {}
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ParameterError(f"config file is not UTF-8 text: {path}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,10 +137,11 @@ def read_matrix_csv(path: str) -> np.ndarray:
     """Read an observations-by-coordinates numeric CSV.
 
     A single leading header row is auto-detected (any non-numeric cell in the
-    first row).  Every later row must be numeric, finite and of equal width;
-    violations are reported with their 1-based line and column.  numpy's C
-    parser reads a plain file (``_read_plain_csv``, same bits); any other file
-    goes to the checked parser, one record at a time, which words every error.
+    first row; a UTF-8 byte-order mark, as spreadsheets write, does not count).
+    Every later row must be numeric, finite and of equal width; violations are
+    reported with their 1-based line and column.  numpy's C parser reads a plain
+    file (``_read_plain_csv``, same bits); any other file goes to the checked
+    parser, one record at a time, which words every error.
     """
     p = Path(path)
     if not p.is_file():
@@ -148,7 +151,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
     rows: list[np.ndarray] = []
     width: int | None = None
     try:
-        with p.open(newline="", encoding="utf-8") as fh:
+        with p.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for record in reader:
                 lineno = reader.line_num  # the record's last line
@@ -192,7 +195,7 @@ def _read_plain_csv(p: Path) -> np.ndarray | None:
     """``np.loadtxt``'s array where it is the checked parser's to the bit, else None."""
     limit = csv.field_size_limit()
     try:
-        with p.open(encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+        with p.open(encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
             line = fh.readline()
             cells = line.rstrip("\r\n").split(",")
             if '"' in line or max(map(len, cells)) > limit:
@@ -220,7 +223,8 @@ def _plain_rows(p: Path, start: int, limit: int) -> bool:
     """
     block = min(limit // 2 + 1, 1 << 16)  # a field over the limit fills a block
     with p.open("rb") as fh:
-        fh.seek(start)
+        # start counts the text, which holds no byte-order mark
+        fh.seek(start + 3 if fh.read(3) == codecs.BOM_UTF8 else start)
         while chunk := fh.read(block):
             if not chunk.isascii() or any(b in chunk for b in b'"_\x1c\x1d\x1e\x1f'):
                 return False

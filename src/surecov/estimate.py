@@ -202,7 +202,8 @@ def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix
     blocked one multiplies each block of ``_BLOCK`` centred columns with the
     block and the ``dmax - 1`` columns after it, and takes the total from the
     n x n gram, ``||s||_F^2 = ||X_c X_c^T||_F^2 / n^2``: n p (_BLOCK + dmax)
-    + n^2 p / 2.  Either way memory is O(n p + p dmax).
+    + n^2 p / 2.  Either way memory is O(n p + p dmax), and the products run
+    on one BLAS thread, as their bits depend on the count.
     ``_ws`` holds arrays (the band returned among them) that a call fills for the next to reuse.
     """
     if data.p <= data.n + 2 * (_BLOCK + dmax):
@@ -212,14 +213,15 @@ def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix
     band = _buf(_ws, "band", (p, dmax))
     # past column p, zero columns keep the skewed view in bounds
     block = _buf(_ws, "block", (_BLOCK, _BLOCK + dmax - 1))
-    for b0 in range(0, p, _BLOCK):
-        b1 = min(b0 + _BLOCK, p)
-        e = min(b1 + dmax - 1, p)
-        np.matmul(centered[:, b0:b1].T, centered[:, b0:e], out=block[: b1 - b0, : e - b0])
-        block[: b1 - b0, : e - b0] /= n
-        block[: b1 - b0, e - b0 :] = 0.0
-        band[b0:b1] = _skew(block, b1 - b0, dmax)
-    gram = np.matmul(centered, centered.T, out=_buf(_ws, "gram", (n, n)))
+    with _ONE_BLAS_THREAD:
+        for b0 in range(0, p, _BLOCK):
+            b1 = min(b0 + _BLOCK, p)
+            e = min(b1 + dmax - 1, p)
+            np.matmul(centered[:, b0:b1].T, centered[:, b0:e], out=block[: b1 - b0, : e - b0])
+            block[: b1 - b0, : e - b0] /= n
+            block[: b1 - b0, e - b0 :] = 0.0
+            band[b0:b1] = _skew(block, b1 - b0, dmax)
+        gram = np.matmul(centered, centered.T, out=_buf(_ws, "gram", (n, n)))
     return band, float(np.einsum("ij,ij->", gram, gram)) / n**2
 
 

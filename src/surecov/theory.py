@@ -50,13 +50,13 @@ k = p), ``Abar = alpha0 11^T + T`` with ``alpha0 = Abar(w = 0) = gamma^2 -
 a_n gamma`` and ``T``, like ``Bbar``, Toeplitz and zero from distance tau on,
 so each product is a rank-one part plus banded ones.  On band storage, whose
 rows are the diagonals, a banded product with a Toeplitz factor is one matrix
-product of a per-tau Toeplitz stack with the band.  The tau-independent part
-(sigma's 2k-1 diagonals, ``M = sigma o sigma``, ``r = M 1``, the diagonal
+product of the factor's Toeplitz matrix with the band.  The tau-independent
+part (sigma's 2k-1 diagonals, ``M = sigma o sigma``, ``r = M 1``, the diagonal
 sums of the quartic term's per-offset grams, and the traces and diagonals
-that PS and SP reduce to) is done once, in O(p k^3) time; then the grid,
-sorted and cut into chunks whose temporaries hold about 2^19 entries (or one
-tau), costs O(|grid| p k (k + tau_max)) time and O(p (k + tau_max)) memory.
-So ``method="exact"`` costs O(p^4) once plus O(|grid| p^3).
+that PS and SP reduce to) is done once, in O(p k^3) time; then each tau of the
+grid, on its own at width h = min(tau, p), costs O(p k (k + h)) time and
+O(p (k + h)) memory, so its value does not depend on the grid around it.
+So ``method="exact"`` costs O(p^4) once plus O(p^3) per tau.
 
 Oracles
 -------
@@ -99,7 +99,7 @@ __all__ = [
 ]
 
 #: widest band var_n reads, p for ``method="exact"`` and min(truncation band, p)
-#: otherwise: band k costs O(p k^3) once plus O(|grid| p k (k + tau_max))
+#: otherwise: band k costs O(p k^3) once plus O(p k (k + tau)) per tau
 VAR_EXACT_CAP = 64
 VAR_METHODS = ("exact", "banded-truncated")
 
@@ -198,44 +198,13 @@ class VarApprox:
 # Band storage: a (2h-1, p) array x holds the entries (i, i+e), |e| < h, of a
 # p x p matrix at x[e+h-1, i], with 0 where i+e falls outside the matrix.  Its
 # rows are the diagonals, so a product with a Toeplitz factor is a sum of
-# shifted rows.  A leading axis, one block per tau of the grid, stacks them.
-
-
-def _shifts(v: NDArray[np.float64], width: int) -> NDArray[np.float64]:
-    # band-storage layout of v along its last axis: [..., a, i] holds
-    # v[..., i + a - width // 2], 0 outside
-    pad = [(0, 0)] * (v.ndim - 1) + [(width // 2, width // 2)]
-    return sliding_window_view(np.pad(v, pad), v.shape[-1], axis=-1)
-
-
-def _symmetric(coef: NDArray[np.float64], h: int) -> NDArray[np.float64]:
-    # per-tau rows of a Toeplitz band: column a holds coef[:, |a - (h-1)|]
-    return np.concatenate([coef[:, h - 1 : 0 : -1], coef[:, :h]], axis=1)
-
-
-# entries of the largest (tau, row, column) temporary for a chunk of the grid; a
-# chunk holds at least one tau, so one tau at any width still fits
-_CHUNK_ENTRIES = 1 << 19
-
-
-def _grid_chunks(taus: tuple[int, ...], p: int, k: int):
-    # the grid's indices by increasing tau, in runs of at most _CHUNK_ENTRIES entries at
-    # rows (p + rows) per tau, rows = min(2 tau + 2k - 3, 2p - 1) at the run's largest tau:
-    # that bounds the run's largest temporary, its product x of rows p entries per tau
-    run: list[int] = []
-    for i in sorted(range(len(taus)), key=taus.__getitem__):
-        rows = min(2 * taus[i] + 2 * k - 3, 2 * p - 1)
-        if run and (len(run) + 1) * rows * (p + rows) > _CHUNK_ENTRIES:
-            yield run
-            run = []
-        run.append(i)
-    yield run
+# shifted rows.
 
 
 def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np.float64]:
     """:func:`var_profile` of the sigma with this band, whose width k <= p is the truncation
-    band, on band storage (see the module docstring): the tau-independent part once, then the
-    grid in chunks, each with its largest tau as the width of its Toeplitz factors."""
+    band, on band storage (see the module docstring): the tau-independent part once, then each
+    tau at its own width, so that its value does not depend on the grid around it."""
     if n < 4:
         raise DataError(f"var_n requires n >= 4, got n={n}")
     taus = _check_grid(tau_grid)
@@ -278,40 +247,45 @@ def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np
     quart[1:] *= 2.0
     quart[:, 1:] *= 2.0
     del spad, lines
+    widest = min(max(taus), p)  # T and Bbar vanish from distance tau on
+    # to distance widest + 2k - 3, the farthest a Toeplitz matrix below reads
+    cs = coeffs(n, c, np.vstack([scheme.weights(t, widest + w) for t in taus]))
+    diag = np.pad(s[k - 1], widest - 1)  # diag[widest-1+i] = s_ii, 0 outside
+    upad = np.zeros(p + w - 1)
+    u_near = sliding_window_view(upad, p)  # u_near[a, i] = u_{i+a-(k-1)}, 0 outside
+    offsets = np.arange(1 - k, k)  # of M's band, row a at offset a-(k-1)
 
-    def chunk_terms(chunk):
-        h = min(max(chunk), p)  # T and Bbar vanish from distance tau on
-        cs = coeffs(n, c, np.vstack([scheme.weights(t, max(h, w) + 1) for t in chunk]))
+    def tau_terms(h, bbar, abar):
+        # one tau at width h = min(tau, p), in a call of its own so that no array of the
+        # last tau is alive during the next one's product
         # u_j = sum_i Bbar_ij s_ii
-        u = np.einsum("ta,ai->ti", _symmetric(cs.Bbar[:, :h], h), _shifts(s[k - 1], 2 * h - 1))
-        bb = (u * np.einsum("ai,tai->ti", m, _shifts(u, w))).sum(axis=1)
+        u = np.correlate(diag[widest - h : widest + h - 2 + p], bbar[np.abs(np.arange(1 - h, h))])
+        upad[k - 1 : k - 1 + p] = u
+        bb = u @ np.einsum("ai,ai->i", m, u_near)
         # sum Abar o (M Abar M) = tr(Abar M Abar M) = sum_ij X_ij X_ji with
         # X = M Abar = MT + alpha0 r1', r = M1: entrywise where MT has its band,
         # offsets up to half = min(h + k - 2, p - 1), alpha0^2 r_i r_j beyond.  Expanding
         # the square into alpha0^2 (1'r)^2 + 2 alpha0 r'Tr + tr(TMTM) would cancel
-        # wherever Abar is near 0 in the band.  Row d of MT is the product of
-        # row d of a Toeplitz stack of T's diagonals with M's band
+        # wherever Abar is near 0 in the band.  Row half+e of MT is the product of
+        # row half+e of T's Toeplitz matrix, T_|e-a+k-1| at column a, with M's band; T
+        # from distance p on (tau > p) reaches only entries of x outside the matrix
         half = min(h + k - 2, p - 1)
-        tpad = np.pad(_symmetric(cs.Abar[:, :h] - alpha0, h), ((0, 0), (w - 1, w - 1)))
-        toep = sliding_window_view(tpad, w, axis=1)[:, h + k - 2 - half : h + k - 1 + half, ::-1]
+        toep = (abar - alpha0)[np.abs(np.arange(-half, half + 1)[:, None] - offsets)]
         x = toep @ m
         x += alpha0 * r
         # X_ij X_ji offset by offset: row half+e of x holds X_{i,i+e}, row half-e X_{i+e,i}
-        xx = x[:, half] ** 2
-        for e in range(1, half + 1):
-            xx[:, : p - e] += 2.0 * x[:, half + e, : p - e] * x[:, half - e, e:]
+        xx = sum(x[half + e, : p - e] @ x[half - e, e:] for e in range(1, half + 1))
         far = suffix[half + 1 :]  # r_j summed beyond the band
-        a_mam = xx.sum(axis=1) + 2.0 * alpha0**2 * (r[: far.size] @ far)
-        acoef = _symmetric(cs.Abar[:, :k], k)
-        cross = np.einsum("ta,ab,tb->t", acoef, trace_ff, acoef)
-        ab = np.einsum("ti,ia,ta->t", u, diag_sf, acoef)  # u' diag(S P S)
-        quartic = np.einsum("te,ed,td->t", cs.Abar[:, :reach], quart, cs.Abar[:, :w])
+        a_mam = x[half] @ x[half] + 2.0 * (xx + alpha0**2 * (r[: far.size] @ far))
+        acoef = abar[np.abs(offsets)]
+        cross = acoef @ trace_ff @ acoef
+        ab = u @ diag_sf @ acoef  # u' diag(S P S)
+        quartic = abar[:reach] @ quart @ abar[:w]
         return bb, a_mam, quartic, cross, ab
 
-    terms = np.empty((5, len(taus)))
-    for chunk in _grid_chunks(taus, p, k):
-        terms[:, chunk] = chunk_terms([taus[i] for i in chunk])
-    bb, a_mam, quartic, cross, ab = terms
+    bb, a_mam, quartic, cross, ab = np.array(
+        [tau_terms(min(t, p), *row) for t, *row in zip(taus, cs.Bbar, cs.Abar)]
+    ).T
     n4 = float(n) ** 4
     # the four summands, each contracted by symmetry of the coefficient
     # matrices under (i<->j), (s<->t) relabeling
@@ -342,10 +316,10 @@ def var_profile(
     ``|i-j| < truncation_band`` (a band wider than p keeps all of it); this is
     lossless when ``sigma`` really is banded with bandwidth <= truncation_band
     and an approximation otherwise.  It works on band storage: for band k it
-    does the tau-independent part once, in O(p k^3) time, then
-    O(|grid| p k (k + tau_max)) for the whole grid, in chunks of the sorted
-    grid that keep memory at O(p (k + tau_max)).  ``method="exact"`` is this
-    path at ``truncation_band = p``: O(p^4) once plus O(|grid| p^3).  With no method, a
+    does the tau-independent part once, in O(p k^3) time, then each tau on its
+    own, in O(p k (k + tau)) time and O(p (k + tau)) memory, so a tau's value
+    is the same on every grid.  ``method="exact"`` is this path at
+    ``truncation_band = p``: O(p^4) once plus O(p^3) per tau.  With no method, a
     truncation band means ``banded-truncated`` and none ``exact``.  Either way only sigma's band
     to k = min(truncation band, p) is read, and k may not exceed ``VAR_EXACT_CAP``; ``risk`` and
     ``clt`` pass a model's band without forming sigma.

@@ -267,6 +267,22 @@ def test_quoted_first_data_row_is_not_taken_for_a_header(tmp_path):
     assert read_matrix_csv(path).tolist() == [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
 
 
+@pytest.mark.parametrize("header", ["", "a,b\n"], ids=["no-header", "header"])
+def test_a_byte_order_mark_is_not_read_as_a_header(tmp_path, header):
+    """A UTF-8 byte-order mark, as spreadsheets save one, made a headerless file's first row
+    look like a header, which both parsers dropped.  Both now read the file as without the
+    mark, and a marked header row is still a header."""
+    text = header + "".join(f"{i},{-i}.5\n" for i in range(5))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    expected = read_matrix_csv(plain)
+    assert expected.shape == (5, 2)
+    assert _read_plain_csv(marked) is not None
+    _assert_same_outcome(_read_outcome(marked), expected)
+    _assert_same_outcome(_checked_outcome(marked), expected)
+
+
 def _unexpected(*args, **kwargs):
     raise AssertionError("np.loadtxt ran")
 
@@ -847,6 +863,13 @@ def test_load_config_file_errors(tmp_path):
         load_config_file(str(bad))
 
 
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # the mark used to become part of the first key: unknown config key '\ufeffreps'
+    cfg = tmp_path / "marked.cfg"
+    cfg.write_text("reps = 3\n", encoding="utf-8-sig")
+    assert load_config_file(str(cfg)) == {"reps": "3"}
+
+
 def test_risk_command_output(capsys):
     code = main(["risk", "--model", "banded-uniform", "--k0", "3", "--offdiag", "0.25",
                  "--p", "30", "--n", "250", "--tau-max", "8"])
@@ -942,18 +965,22 @@ def test_negative_threads_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize("model, tau", [
     (["--model", "ar-decay", "--rho", "0.5", "--p", "10"], 3),  # exact var_n
     (["--model", "banded-uniform", "--k0", "4", "--p", "200"], 6),  # banded-truncated at k0
+    # var_n's last bit differed from the default grid's row here
+    (["--model", "banded-uniform", "--k0", "3", "--p", "10"], 4),
 ])
 def test_clt_theory_is_the_tau_row_of_risk_with_var(capsys, model, tau):
     """clt and ``risk --with-var`` share one theory step: clt's risk and var_n are the
-    tau row of the risk table digit for digit.  The risk is bitwise the row's because
-    R_c(tau) is one correctly rounded sum over the distances below tau, whatever the
-    grid around tau.  var_n is bitwise the row's here because both grids end at tau."""
+    tau row of the risk table digit for digit, on a grid that ends at tau and on the default
+    grid.  Both are bitwise the row's because each is evaluated at tau alone: R_c(tau) is
+    one correctly rounded sum over the distances below tau, and var_n takes its Toeplitz
+    factors at width min(tau, p), whatever the grid around tau."""
     common = [*model, "--n", "40", "--scheme", "czz", "--c", "3"]
-    assert main(["risk", *common, "--tau-max", str(tau), "--with-var"]) == 0
-    row = capsys.readouterr().out.splitlines()[tau].split(",")
     assert main(["clt", *common, "--tau", str(tau), "--reps", "3"]) == 0
     res = json.loads(capsys.readouterr().out)["results"]
-    assert row == [str(tau), repr(res["risk"]), repr(res["var_n"])]
+    for grid in (["--tau-max", str(tau)], []):
+        assert main(["risk", *common, *grid, "--with-var"]) == 0
+        row = capsys.readouterr().out.splitlines()[tau].split(",")
+        assert row == [str(tau), repr(res["risk"]), repr(res["var_n"])]
 
 
 _BANDED = ["--model", "banded-uniform", "--k0", "5", "--p", "100", "--n", "50"]

@@ -21,7 +21,9 @@ from surecov.estimate import (
     mle_cov,
     taper,
 )
-from surecov.model import ArDecay, BandedUniform, Dataset, Explicit, PolyDecay, build_sigma
+from surecov.model import (
+    ArDecay, BandedUniform, Dataset, Explicit, PolyDecay, _blas_thread_setter, build_sigma
+)
 
 
 def test_banding_weights_are_indicators():
@@ -208,6 +210,29 @@ def test_band_gram_branch_at_benchmark_sizes(n, p, dmax, blocked):
     with mock.patch.object(estimate, "mle_cov", wraps=mle_cov) as dense:
         band_gram(Dataset(rows=np.zeros((n, p))), dmax)
     assert dense.called is not blocked
+
+
+def test_blocked_band_gram_does_not_depend_on_the_callers_blas_thread_count():
+    """The blocked branch's products run on one BLAS thread, so its band and total are the
+    same whatever count the caller runs at.  At two threads 15 of these band entries used
+    to differ, at d = 37 to 39."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    data = Dataset(rows=np.random.default_rng(1).normal(size=(60, 900)))
+    seen = []
+    before = setter(2)
+    try:
+        with mock.patch.object(estimate, "mle_cov", wraps=mle_cov) as dense:
+            for count in (2, 1):
+                setter(count)
+                band, frob_sq = band_gram(data, 40)
+                seen.append((band.tobytes(), frob_sq))
+                assert setter(count) == count
+    finally:
+        setter(before)
+    assert not dense.called
+    assert seen[0] == seen[1]
 
 
 @st.composite

@@ -126,12 +126,15 @@ def test_risk_oracle_locations_on_banded_models():
     ArDecay(rho=0.5, p=10), PolyDecay(rho=0.6, alpha=0.5, p=10), BandedUniform(k0=3, offdiag=0.25, p=10)
 ], ids=["ar", "poly", "banded"])
 def test_risk_at_a_tau_is_the_same_on_every_grid(model, scheme, c):
-    """R_c(tau) depends on tau alone: at each tau, a one-point grid, as clt reads it, gives
-    the default grid's row bit for bit.  Their last bits used to differ in about half the
-    cases, with the grid's largest tau and its tail bin."""
+    """R_c(tau) and var_n depend on tau alone: at each tau, a one-point grid, as clt reads it,
+    gives the default grid's row bit for bit.  The risk's last bits used to differ in about half
+    the cases, with the grid's largest tau and its tail bin; var_n's in 12 of these 180, all
+    czz, with the width of the chunk of the grid that tau went in."""
     grid = default_tau_grid(model.p, 40)
-    rows = _model_theory(model, 40, scheme, grid, c)[0].values.tolist()
-    assert [_model_theory(model, 40, scheme, (t,), c)[0].values[0] for t in grid] == rows
+    risk, var = _model_theory(model, 40, scheme, grid, c, var=(None, None))[:2]
+    points = [_model_theory(model, 40, scheme, (t,), c, var=(None, None))[:2] for t in grid]
+    assert [r.values[0] for r, _ in points] == risk.values.tolist()
+    assert [v[0] for _, v in points] == var.tolist()
 
 
 def _var_n_brute_force(sigma, n, scheme, tau, c):
@@ -280,9 +283,9 @@ def test_var_n_banded_allocates_no_p_by_p_array():
     assert peak < p * p * 8 / 8
 
 
-def test_var_profile_peak_is_about_one_chunk_product():
-    """At a large tau the chunk holds one tau, and its largest temporary is the product x of
-    2 min(tau + k - 2, p - 1) + 1 rows of p floats: the sum of X_ij X_ji adds no second one."""
+def test_var_profile_peak_is_about_one_product():
+    """At a large tau the largest temporary is the product x of 2 min(tau + k - 2, p - 1) + 1
+    rows of p floats: the sum of X_ij X_ji adds no second one."""
     p, k, tau = 4000, 5, 250
     band = _sigma_band(BandedUniform(k0=k, offdiag=0.25, p=p), k)[0]
     tracemalloc.start()
@@ -349,11 +352,9 @@ def test_var_profile_over_a_grid_allocates_no_p_by_p_array():
     assert peak < p * p * 8
 
 
-@pytest.mark.parametrize("entries", [1, 4000])
-def test_var_profile_in_chunks_is_exact_var_n_of_the_truncation(monkeypatch, entries):
-    """The sorted grid cut into chunks, down to one tau each and each with its
-    own width, gives the dense quadruple sum of the truncated sigma per tau."""
-    monkeypatch.setattr("surecov.theory._CHUNK_ENTRIES", entries)
+def test_var_profile_on_an_unsorted_grid_is_exact_var_n_of_the_truncation():
+    """An unsorted grid with repeats and a tau past p, each tau at its own width, gives the
+    dense quadruple sum of the truncated sigma per tau."""
     p, band, n = 30, 4, 40
     root = np.random.default_rng(7).normal(size=(p, p))
     sigma = root @ root.T / p + 0.5 * np.eye(p)
@@ -366,7 +367,7 @@ def test_var_profile_in_chunks_is_exact_var_n_of_the_truncation(monkeypatch, ent
 
 def test_var_profile_over_a_full_grid_needs_the_memory_of_its_largest_tau():
     """The default grid 1..200 at p=2000 peaks near one var_n at tau=200: the
-    grid goes in chunks, not in one (tau, row, p) array per term.  Each grid
+    grid goes one tau at a time, not in one (tau, row, p) array per term.  Each grid
     runs once untraced first, and garbage is collected before tracing, so
     neither peak counts one-off caches or what earlier tests left behind."""
     p = 2000
