@@ -352,14 +352,21 @@ def test_var_profile_over_a_grid_allocates_no_p_by_p_array():
     assert peak < p * p * 8
 
 
-def test_var_profile_on_an_unsorted_grid_is_exact_var_n_of_the_truncation():
-    """An unsorted grid with repeats and a tau past p, each tau at its own width, gives the
-    dense quadruple sum of the truncated sigma per tau."""
+@pytest.mark.parametrize("entries", [1, 4000])
+def test_var_profile_in_chunks_is_exact_var_n_of_the_truncation(entries):
+    """An unsorted grid with repeats and a tau past p, passed whole or in chunks of `entries`
+    taus, gives the dense quadruple sum of the truncated sigma per tau, and the same values
+    bit for bit either way: each tau runs at its own width."""
     p, band, n = 30, 4, 40
     root = np.random.default_rng(7).normal(size=(p, p))
     sigma = root @ root.T / p + 0.5 * np.eye(p)
     grid = (9, 1, 31, 4, 4, 17, 2, 30)
     values = var_profile(sigma, n, CzzTaper(), grid, 2.5, "banded-truncated", band)
+    chunks = [
+        var_profile(sigma, n, CzzTaper(), grid[i:i + entries], 2.5, "banded-truncated", band)
+        for i in range(0, len(grid), entries)
+    ]
+    assert np.concatenate(chunks).tolist() == values.tolist()
     truncated = taper(sigma, Banding(), band)
     for tau, value in zip(grid, values):
         assert value == pytest.approx(_var_n_dense(truncated, n, CzzTaper(), tau, 2.5), rel=1e-12)
