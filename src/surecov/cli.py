@@ -517,7 +517,8 @@ _COMMON = {
     "--config": {"help": "key = value file; flags override it"},
     "--out": {"help": "write the report here instead of stdout"},
 }
-_THREADS = {"--threads": {"type": int, "help": "worker threads (default 1)"}}
+_THREADS = {"--threads": {"type": int, "help": "worker threads (default 0: up to 2 usable cores "
+                                                 "if n*p >= 2**14, else 1; pass 1 on a shared host)"}}
 _EXPERIMENT = {
     "--tau-max": {"type": int},
     **_REPS_SEED,

@@ -206,7 +206,7 @@ def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix
     on one BLAS thread, as their bits depend on the count.
     ``_ws`` holds arrays (the band returned among them) that a call fills for the next to reuse.
     """
-    if data.p <= data.n + 2 * (_BLOCK + dmax):
+    if _dense(data.n, data.p, dmax):
         return _band(mle_cov(data, _ws), dmax, _ws)
     centered = _centered(data, _ws)
     n, p = centered.shape
@@ -223,6 +223,25 @@ def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix
             band[b0:b1] = _skew(block, b1 - b0, dmax)
         gram = np.matmul(centered, centered.T, out=_buf(_ws, "gram", (n, n)))
     return band, float(np.einsum("ij,ij->", gram, gram)) / n**2
+
+
+def _dense(n: int, p: int, dmax: int) -> bool:
+    """Whether :func:`band_gram` takes its dense branch, forming the p x p ``s``, at this shape."""
+    return p <= n + 2 * (_BLOCK + dmax)
+
+
+def _workspace(n: int, p: int, dmax: int) -> dict:
+    """A ``_ws`` of two arrays for :func:`band_gram` on the n x p ``ws["rows"]``, centred in place.
+    ``ws["spare"]`` (n x p) is the caller's until the call, then the head of a dense ``s``; the
+    band is a view of the rows where it fits, as ``s`` is formed before the band is written."""
+    rows, dense = np.empty((n, p)), _dense(n, p, dmax)
+    spare = np.empty(max(p * p, n * p) if dense else n * p)
+    ws = {"rows": rows, "centred": rows, "spare": spare[: n * p].reshape(n, p)}
+    if dense:
+        ws["s"] = spare[: p * p].reshape(p, p)
+    if dense and dmax <= n:
+        ws["band"] = rows.reshape(-1)[: p * dmax].reshape(p, dmax)
+    return ws
 
 
 def taper(sigma_tilde: Matrix, scheme: WeightScheme, tau: int) -> Matrix:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import threading
 import time
@@ -37,7 +38,7 @@ from .criterion import (
     sure_constants,
 )
 from .errors import DataError, ParameterError
-from .estimate import Banding, WeightScheme, _buf, _sigma_band, band_gram
+from .estimate import Banding, WeightScheme, _sigma_band, _workspace, band_gram
 from .model import (
     ArDecay,
     BandedUniform,
@@ -124,7 +125,7 @@ class ExperimentConfig:
     tau_fixed: int | None = None  # clt only
     var_method: str | None = None  # clt only: None = from the truncation band, else automatic
     truncation_band: int | None = None
-    threads: int = 0  # replication pool size; 0 and 1 both mean one worker
+    threads: int = 0  # replication pool size; 0: up to _POOL_MAX usable cores from n p >= _POOL_FLOOR
 
     def __post_init__(self) -> None:
         ints = ["n", "replications", "base_seed", "threads"]
@@ -237,15 +238,15 @@ class _Draws:
 
     def sums(self, rep_index: int):
         """``(seed, band, s1, s2)`` of one replication: its seed, the band of its draw's MLE
-        to the grid's ``dmax`` by ``band_gram`` (this worker's array, reused), its band sums."""
-        cfg, ws = self.config, vars(self.local)
-        if "data" not in ws:  # this worker's first replication
-            ws["data"] = Dataset(rows=np.empty((cfg.n, cfg.p)))
-        data = ws["data"]
+        to the grid's ``dmax`` by ``band_gram`` (this worker's arrays, reused), its band sums."""
+        cfg, dmax, ws = self.config, self.grid.dmax, vars(self.local)
+        if "data" not in ws:  # this worker's first replication: band_gram's two arrays
+            ws.update(_workspace(cfg.n, cfg.p, dmax))
+            ws["data"] = Dataset(rows=ws["rows"])
         seed = derive_seed(cfg.base_seed, rep_index)
-        # band_gram centres into the normals' array once they are drawn
-        _draw(seed, self.factor, _buf(ws, "centred", data.rows.shape), data.rows)
-        band, frob_sq = band_gram(data, self.grid.dmax, ws)
+        # the normals go to the spare array, free until band_gram
+        _draw(seed, self.factor, ws["spare"], ws["rows"])
+        band, frob_sq = band_gram(ws["data"], dmax, ws)
         s1, s2 = _band_sums(band, frob_sq)
         return seed, band, s1, s2
 
@@ -274,8 +275,27 @@ class _ExperimentContext(_Draws):
         )
 
 
+# a replication's n p below which the default is one worker, as GIL-held Python sets the pace
+_POOL_FLOOR = 2**14
+_POOL_MAX = 2  # the default's most workers: the largest pool measured, each with its own arrays
+
+
+def _pool_size(config: ExperimentConfig) -> int:
+    """The workers ``config``'s replications run on: ``threads``, or if 0 one per usable core up
+    to ``_POOL_MAX`` from ``n p >= _POOL_FLOOR`` and one below it; never more than the replications."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    default = min(cores or 1, _POOL_MAX) if config.n * config.p >= _POOL_FLOOR else 1
+    return min(config.threads or default, config.replications)
+
+
+def _worker_init(errstate: dict) -> None:
+    _set_blas_threads(1)
+    np.seterr(**errstate)  # numpy's errstate is per context, and a new thread starts afresh
+
+
 def _map_ordered(fn, count: int, threads: int) -> list:
-    """Apply fn to 0..count-1, returning results in index order.
+    """Apply fn to 0..count-1 on ``threads`` workers (at most ``count``), returning results in
+    index order.  Each worker runs under the caller's numpy errstate.
 
     BLAS runs on one thread meanwhile: the pool is the parallelism, BLAS
     threads under it would oversubscribe the cores, and one BLAS thread at
@@ -287,7 +307,7 @@ def _map_ordered(fn, count: int, threads: int) -> list:
         if threads <= 1 or count <= 1:
             return [fn(i) for i in range(count)]
         workers = min(threads, count)
-        with ThreadPoolExecutor(workers, initializer=_set_blas_threads, initargs=(1,)) as ex:
+        with ThreadPoolExecutor(workers, initializer=_worker_init, initargs=(np.geterr(),)) as ex:
             return list(ex.map(fn, range(count)))
 
 
@@ -313,8 +333,8 @@ def _report(
     config: ExperimentConfig, results: dict, t0: float, echo: dict | None = None
 ) -> ExperimentReport:
     """The report of ``results`` under ``echo`` (``config``'s by default), with a ``meta``, never
-    in ``payload_bytes``, of the time since ``t0`` and ``config``'s pool size."""
-    meta = {"wall_time_s": time.perf_counter() - t0, "threads": max(config.threads, 1)}
+    in ``payload_bytes``, of the time since ``t0`` and the pool size ``config`` runs on."""
+    meta = {"wall_time_s": time.perf_counter() - t0, "threads": _pool_size(config)}
     return ExperimentReport(config=config.echo() if echo is None else echo, results=results, meta=meta)
 
 
@@ -328,7 +348,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     ctx = _ExperimentContext(config)
-    records = _map_ordered(ctx.replicate, config.replications, config.threads)
+    records = _map_ordered(ctx.replicate, config.replications, _pool_size(config))
 
     results: dict = {"per_c": {}}
     for key in ctx.cmap:
@@ -387,7 +407,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         _, _, s1, s2 = ctx.sums(rep_index)
         return (float(ctx.grid.sure(s1, s2, consts)[0]) - float(risk)) / scale
 
-    sample = np.array(_map_ordered(one, config.replications, config.threads))
+    sample = np.array(_map_ordered(one, config.replications, _pool_size(config)))
 
     results = {
         "c_key": ckey,
@@ -457,7 +477,7 @@ def rate_experiment(
         "base_seed": base_seed,
         "kind": "rate",
     }
-    return _report(config, results, t0, config_echo)
+    return _report(replace(config, n=max(n_list)), results, t0, config_echo)  # its largest pool
 
 
 def oracle_ratio_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -668,7 +668,12 @@ def test_var_n_over_the_band_cap_is_a_usage_error(capsys, argv):
      "--p", "6", "--n", "20", "--replications", "3"],
     ["clt", "--model", "banded-uniform", "--k0", "1", "--offdiag", "1e155",
      "--p", "6", "--n", "20", "--tau", "2", "--replications", "5"],
-], ids=lambda argv: argv[0])
+    # pool workers run under main's errstate, as numpy keeps it per thread context
+    ["simulate", "--model", "banded-uniform", "--k0", "1", "--offdiag", "1e155",
+     "--p", "6", "--n", "20", "--replications", "3", "--threads", "2"],
+    ["clt", "--model", "banded-uniform", "--k0", "1", "--offdiag", "1e155",
+     "--p", "6", "--n", "20", "--tau", "2", "--replications", "5", "--threads", "2"],
+], ids=lambda argv: argv[0] + ("-pool" if "--threads" in argv else ""))
 def test_overflowing_model_exits_4(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow warning would raise here

@@ -212,6 +212,26 @@ def test_band_gram_branch_at_benchmark_sizes(n, p, dmax, blocked):
     assert dense.called is not blocked
 
 
+@pytest.mark.parametrize("n, p, dmax", [
+    (250, 500, 20),  # dense, p >= n: s in the spare array, the band in the rows
+    (100, 50, 10),  # dense, p < n
+    (40, 500, 100),  # dense, dmax > n: the band its own array
+    (60, 2000, 20),  # blocked
+], ids=["dense-wide", "dense-tall", "dmax-above-n", "blocked"])
+def test_band_gram_in_its_two_array_workspace_matches_fresh_arrays(n, p, dmax):
+    """``_workspace`` aliases the centred rows with the band and the spare array with ``s``;
+    band_gram there gives the bytes it gives on fresh arrays, on each reuse."""
+    rng = np.random.default_rng(3)
+    ws = estimate._workspace(n, p, dmax)
+    for _ in range(2):
+        rows = rng.normal(size=(n, p)) + 2.0
+        ws["spare"][:] = rng.normal(size=(n, p))  # what a draw leaves there
+        ws["rows"][:] = rows
+        band, frob_sq = band_gram(Dataset(rows=ws["rows"]), dmax, ws)
+        fresh, fresh_sq = band_gram(Dataset(rows=rows), dmax)
+        assert (band.tobytes(), frob_sq) == (fresh.tobytes(), fresh_sq)
+
+
 def test_blocked_band_gram_does_not_depend_on_the_callers_blas_thread_count():
     """The blocked branch's products run on one BLAS thread, so its band and total are the
     same whatever count the caller runs at.  At two threads 15 of these band entries used

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -294,19 +296,29 @@ _REPORT_CFG = ExperimentConfig(model=BandedUniform(k0=3, offdiag=0.3, p=12), n=2
                                base_seed=1, threads=2)
 
 
-@pytest.mark.parametrize("run, config", [
-    (run_experiment, _REPORT_CFG),
-    (clt_experiment, replace(_REPORT_CFG, kind="clt", tau_fixed=2)),
-    (consistency_experiment, replace(_REPORT_CFG, kind="consistency")),
-    (oracle_ratio_experiment, replace(_REPORT_CFG, kind="oracle-ratio")),
-    # rate builds its own config per n, each at the default pool size
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_FLOOR_P = -(-sim._POOL_FLOOR // _REPORT_CFG.n)  # the least p with n p at the pool's size floor
+
+
+@pytest.mark.parametrize("run, config, pool", [
+    (run_experiment, _REPORT_CFG, 2),
+    (clt_experiment, replace(_REPORT_CFG, kind="clt", tau_fixed=2), 2),
+    (consistency_experiment, replace(_REPORT_CFG, kind="consistency"), 2),
+    (oracle_ratio_experiment, replace(_REPORT_CFG, kind="oracle-ratio"), 2),
+    # rate builds its own config per n, each at the default pool size, below the floor here
     (lambda _: rate_experiment(alpha=0.5, rho=0.6, p=8, n_list=[10, 20, 40], reps=2),
-     replace(_REPORT_CFG, threads=0)),
-], ids=["table", "clt", "consistency", "oracle-ratio", "rate"])
-def test_every_runner_keeps_its_wall_time_and_pool_size_in_meta_only(run, config):
+     replace(_REPORT_CFG, threads=0), 1),
+    # the default: one worker per usable core, at most 2, from the size floor on n p up, and
+    # one below it
+    (run_experiment, replace(_REPORT_CFG, model=ArDecay(rho=0.5, p=_FLOOR_P), threads=0),
+     min(_CORES, 2)),
+    (run_experiment, replace(_REPORT_CFG, model=ArDecay(rho=0.5, p=_FLOOR_P - 1), threads=0), 1),
+], ids=["table", "clt", "consistency", "oracle-ratio", "rate", "default-above-floor",
+        "default-below-floor"])
+def test_every_runner_keeps_its_wall_time_and_pool_size_in_meta_only(run, config, pool):
     report = run(config)
     assert set(report.meta) == {"wall_time_s", "threads"}
-    assert report.meta["threads"] == max(config.threads, 1)
+    assert report.meta["threads"] == pool  # the pool size that ran
     assert set(json.loads(report.payload_bytes())) == {"config", "results"}
     assert b"wall_time" not in report.payload_bytes()
 
@@ -494,6 +506,27 @@ def test_pool_is_capped_at_the_replication_count(monkeypatch):
     assert _map_ordered(lambda i: i * i, 3, 10_000) == [0, 1, 4]
     assert _map_ordered(lambda i: i, 5, 2) == list(range(5))
     assert sizes == [3, 2]
+
+
+def test_default_pool_stops_at_the_largest_size_measured(monkeypatch):
+    """On a 64-core host the default still runs 2 workers, each with its own arrays; an
+    explicit ``threads`` is not capped, and without ``sched_getaffinity`` the cores are counted."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    wide = replace(_REPORT_CFG, model=ArDecay(rho=0.5, p=_FLOOR_P), replications=100)
+    assert sim._pool_size(replace(wide, threads=0)) == sim._POOL_MAX == 2
+    assert sim._pool_size(replace(wide, threads=8)) == 8
+    monkeypatch.delattr(sim.os, "sched_getaffinity")
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 1)
+    assert sim._pool_size(replace(wide, threads=0)) == 1
+
+
+def test_pool_workers_run_under_the_callers_errstate():
+    """numpy's errstate lives in a context that a new pool thread does not inherit: the
+    workers used to warn on an overflow that the caller had set to be ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            assert _map_ordered(lambda i: np.float64(1e300) * 1e300, 4, 2) == [np.inf] * 4
 
 
 def test_report_json_round_trip():
@@ -717,6 +750,42 @@ def test_payload_bytes_identical_across_pools_with_worker_arrays():
             assert len(payloads) == 1, cfg.kind
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("runner, cfg", [
+    (run_experiment, table1_config("model2-r05", replications=20)),  # dense, p >= n
+    (run_experiment, table1_config("model1-a05", fast=True)),  # dense, p < n
+    (run_experiment, replace(table1_config("model2-r05", fast=True), n=40, tau_max=100)),  # dmax > n
+    (run_experiment, ExperimentConfig(model=ArDecay(rho=0.5, p=2000), n=60, tau_max=20,
+                                      replications=10)),  # blocked
+    (consistency_experiment, table2_config(replications=10)),  # Cholesky draw, dense
+    (run_experiment, ExperimentConfig(model=PolyDecay(rho=0.6, alpha=0.5, p=1500), n=50,
+                                      replications=10)),  # Cholesky draw, blocked
+    (clt_experiment, ExperimentConfig(model=BandedUniform(k0=5, offdiag=0.25, p=200), n=100,
+                                      replications=300, base_seed=71, kind="clt", tau_fixed=6)),
+], ids=["dense-wide", "dense-tall", "dmax-above-n", "blocked", "cholesky-dense", "cholesky-blocked",
+        "clt"])
+def test_payload_bytes_identical_across_pools_on_every_worker_layout(runner, cfg):
+    """Each worker's rows are its centred buffer, its spare array holds the normals and then s,
+    and its band is a view of the rows where it fits: the default pool and every other size
+    give the same bytes on each of these layouts."""
+    payloads = {runner(replace(cfg, threads=t)).payload_bytes() for t in (0, 1, 2, 3)}
+    assert len(payloads) == 1
+
+
+def test_a_worker_keeps_two_arrays():
+    """At Table 1's shape a worker holds its rows and one spare array of p x p floats, the
+    normals and then s; the band is a view of the rows, which held four arrays' worth."""
+    cfg = table1_config("model2-r05", replications=1)
+    ctx = _ExperimentContext(cfg)
+    ctx.replicate(0)
+    arrays = [ctx.local.data.rows] + [a for a in vars(ctx.local).values() if isinstance(a, np.ndarray)]
+    bases = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        bases[id(a)] = a
+    assert sum(a.nbytes for a in bases.values()) <= (cfg.n * cfg.p + cfg.p**2) * 8
 
 
 def test_wide_clt_matches_the_formed_mle():
