@@ -190,15 +190,15 @@ def default_tau_grid(p: int, n: int, tau_max: int | None = None) -> tuple[int, .
 
 
 class _Grid:
-    """A checked tau grid and its weight table ``w[k, d] = w(taus[k], d)`` for
-    ``d < width``, by default ``dmax + 1``: the tail bin (see :func:`_fold`),
-    where every weight is 0, comes last.  ``gap_sq = (n/(n-1) - w)**2``."""
+    """A checked tau grid and its weight table ``w[k, d] = w(taus[k], d)``, from one call of the
+    scheme for the whole grid, for ``d < width``, by default ``dmax + 1``: the tail bin (see
+    :func:`_fold`), where every weight is 0, comes last.  ``gap_sq = (n/(n-1) - w)**2``."""
 
     def __init__(self, scheme: WeightScheme, tau_grid, n: int, width: int | None = None):
         self.taus = _check_grid(tau_grid)
         self.dmax = max(self.taus)
         cols = self.dmax + 1 if width is None else width
-        self.w = np.vstack([scheme.weights(t, cols) for t in self.taus])
+        self.w = scheme._table(self.taus, cols)
         self.gap_sq = (n / (n - 1) - self.w) ** 2
 
     def sure(self, s1, s2, consts: SureConstants) -> NDArray[np.float64]:

@@ -7,14 +7,16 @@ only and satisfy, for every tapering parameter ``tau >= 1``:
 (ii)  ``w(tau, d) = 0`` for ``d >= tau``,
 (iii) ``0 <= w(tau, d) <= 1`` in between.
 
-``tau = 1`` therefore keeps only the diagonal.
+``tau = 1`` therefore keeps only the diagonal.  Each scheme builds the table
+``w[k, d] = w(taus[k], d)`` of a whole tau grid at once (``_table``), and
+``weights(tau, dmax)`` is one row of it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -36,20 +38,26 @@ __all__ = [
 ]
 
 
+class _Scheme:
+    """``weights`` for every scheme: row 0 of its ``_table``, ``d < width``, at one tau."""
+
+    def weights(self, tau: int, dmax: int) -> NDArray[np.float64]:
+        _check_tau(tau)
+        return self._table((tau,), dmax)[0]
+
+
 @dataclass(frozen=True)
-class Banding:
+class Banding(_Scheme):
     """Indicator weights ``w(tau, d) = 1{d < tau}``."""
 
     name = "banding"
 
-    def weights(self, tau: int, dmax: int) -> NDArray[np.float64]:
-        _check_tau(tau)
-        d = np.arange(dmax)
-        return (d < tau).astype(np.float64)
+    def _table(self, taus: Sequence[int], width: int) -> NDArray[np.float64]:
+        return (np.arange(width) < np.array(taus)[:, None]).astype(np.float64)
 
 
 @dataclass(frozen=True)
-class CzzTaper:
+class CzzTaper(_Scheme):
     """Trapezoidal tapering weights.
 
     ``w = 1`` for ``d <= floor(tau/2)``, then decays linearly,
@@ -60,35 +68,33 @@ class CzzTaper:
 
     name = "czz"
 
-    def weights(self, tau: int, dmax: int) -> NDArray[np.float64]:
-        _check_tau(tau)
-        d = np.arange(dmax, dtype=np.float64)
-        half = tau // 2
-        w = np.zeros(dmax)
-        w[d <= half] = 1.0
-        mid = (d > half) & (d < tau)
-        if mid.any():
-            # half >= 1 whenever the linear zone is nonempty (tau >= 2)
-            w[mid] = (tau - d[mid]) / half
-        return w
+    def _table(self, taus: Sequence[int], width: int) -> NDArray[np.float64]:
+        d, t = np.arange(width, dtype=np.float64), np.array(taus, dtype=np.float64)[:, None]
+        half = t // 2  # >= 1 wherever the linear zone is nonempty (tau >= 2)
+        return np.where(d <= half, 1.0, np.where(d < t, (t - d) / np.maximum(half, 1), 0.0))
 
 
 @dataclass(frozen=True)
-class CustomToeplitz:
+class CustomToeplitz(_Scheme):
     """User-supplied weights: ``table[tau]`` lists ``w(tau, d)`` for ``d < tau``.
 
     Entries beyond the listed ones are zero.  Each row is validated against
-    conditions (i)-(iii) at construction.
+    conditions (i)-(iii) at construction; a grid needs a row for each of its tau.
     """
 
     table: Mapping[int, Sequence[float]] = field(repr=False)
     name = "custom"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.table, Mapping):
+            raise ParameterError(f"weight table must be a mapping, got {type(self.table).__name__}")
         clean: dict[int, NDArray[np.float64]] = {}
         for tau, row in self.table.items():
             _check_tau(tau)
-            w = np.asarray(row, dtype=np.float64)
+            try:
+                w = np.asarray(row, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParameterError(f"tau={tau}: weights must be numbers, got {row!r}") from None
             if w.shape != (tau,):
                 raise ParameterError(
                     f"weight table for tau={tau} must have length {tau}, got {w.shape}"
@@ -96,19 +102,18 @@ class CustomToeplitz:
             half = tau // 2
             if np.any(w[: half + 1] != 1.0):
                 raise ParameterError(f"tau={tau}: weights must be 1 for d <= floor(tau/2)")
-            if np.any((w < 0.0) | (w > 1.0)):
+            if not np.all((0.0 <= w) & (w <= 1.0)):  # NaN too
                 raise ParameterError(f"tau={tau}: weights must lie in [0, 1]")
             clean[int(tau)] = w
         object.__setattr__(self, "table", clean)
 
-    def weights(self, tau: int, dmax: int) -> NDArray[np.float64]:
-        _check_tau(tau)
-        if tau not in self.table:
-            raise ParameterError(f"no weights provided for tau={tau}")
-        w = np.zeros(dmax)
-        row = self.table[tau]
-        w[: min(tau, dmax)] = row[:dmax]
-        return w
+    def _table(self, taus: Sequence[int], width: int) -> NDArray[np.float64]:
+        out = np.zeros((len(taus), width))
+        for k, tau in enumerate(taus):
+            if tau not in self.table:
+                raise ParameterError(f"no weights provided for tau={tau}")
+            out[k, :tau] = self.table[tau][:width]
+        return out
 
 
 WeightScheme = Banding | CzzTaper | CustomToeplitz

@@ -211,6 +211,9 @@ def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np
     p, k = band.shape
     w = 2 * k - 1
     reach = min(w, p)  # offsets 0 .. reach-1 of the products of two bands
+    widest = min(max(taus), p)  # T and Bbar vanish from distance tau on
+    # to distance widest + 2k - 3, the farthest a Toeplitz matrix below reads
+    cs = coeffs(n, c, scheme._table(taus, widest + w))
     alpha0 = float(coeffs(n, c, 0.0).Abar)
     s = np.zeros((w, p))  # s[k-1+e, i] = sigma[i, i+e], 0 outside
     s[k - 1 :] = band.T
@@ -247,9 +250,6 @@ def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np
     quart[1:] *= 2.0
     quart[:, 1:] *= 2.0
     del spad, lines
-    widest = min(max(taus), p)  # T and Bbar vanish from distance tau on
-    # to distance widest + 2k - 3, the farthest a Toeplitz matrix below reads
-    cs = coeffs(n, c, np.vstack([scheme.weights(t, widest + w) for t in taus]))
     diag = np.pad(s[k - 1], widest - 1)  # diag[widest-1+i] = s_ii, 0 outside
     upad = np.zeros(p + w - 1)
     u_near = sliding_window_view(upad, p)  # u_near[a, i] = u_{i+a-(k-1)}, 0 outside

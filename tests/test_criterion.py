@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surecov import estimate
+from surecov import estimate, theory
 from surecov.criterion import (
     CriterionProfile,
+    _Grid,
     _smallest_argmin,
     _sums,
     band_sums,
@@ -31,7 +32,7 @@ from surecov.criterion import (
     sure_profile_from_band,
 )
 from surecov.errors import DataError, NumericalError, ParameterError
-from surecov.estimate import Banding, CzzTaper, _band, band_gram, mle_cov
+from surecov.estimate import Banding, CustomToeplitz, CzzTaper, _band, band_gram, mle_cov
 from surecov.model import ArDecay, BandedUniform, Dataset, build_sigma, sample_dataset
 from surecov.sim import ExperimentConfig, clt_experiment
 from surecov.theory import risk_profile, var_n, var_profile
@@ -138,6 +139,63 @@ def test_default_tau_grid_rejects_a_non_integer_cap(cap):
     # a float or bool cap used to end in a bare TypeError
     with pytest.raises(ParameterError, match=f"tau_max must be an integer, got {cap}"):
         default_tau_grid(10, 6, tau_max=cap)
+
+
+def _reference_row(scheme, tau, width):
+    """A row as the closed-form schemes built it one tau at a time."""
+    if isinstance(scheme, Banding):
+        return (np.arange(width) < tau).astype(np.float64)
+    d = np.arange(width, dtype=np.float64)
+    half = tau // 2
+    w = np.zeros(width)
+    w[d <= half] = 1.0
+    mid = (d > half) & (d < tau)
+    if mid.any():
+        w[mid] = (tau - d[mid]) / half
+    return w
+
+
+def _reference_table(scheme, taus, width):
+    return np.vstack([_reference_row(scheme, t, width) for t in taus])
+
+
+_TAUS = tuple(range(1, 300))
+
+
+@pytest.mark.parametrize("width", [1, 5, 11, 40, 251])
+@pytest.mark.parametrize("scheme", [Banding(), CzzTaper()], ids=lambda s: s.name)
+def test_grid_table_is_the_per_tau_rows_bit_for_bit(scheme, width):
+    w = _Grid(scheme, _TAUS, 20, width).w
+    assert w.shape == (len(_TAUS), width)
+    assert w.tobytes() == _reference_table(scheme, _TAUS, width).tobytes()
+    for tau in (1, 2, 3, 7, 150, 299):
+        assert scheme.weights(tau, width).tobytes() == _reference_row(scheme, tau, width).tobytes()
+
+
+@pytest.mark.parametrize("p,band", [(4, 1), (10, 1), (7, 3), (39, 1), (250, 1)])
+@pytest.mark.parametrize("scheme", [Banding(), CzzTaper()], ids=lambda s: s.name)
+def test_var_profile_table_is_the_per_tau_rows_bit_for_bit(scheme, p, band):
+    """var_n's coefficients come from one table, to distance min(max tau, p) + 2 band - 2."""
+    with mock.patch.object(theory, "coeffs", wraps=theory.coeffs) as spy:
+        var_profile(np.eye(p), 20, scheme, _TAUS, truncation_band=band)
+    (table,) = [call.args[2] for call in spy.call_args_list if np.ndim(call.args[2]) == 2]
+    width = p + 2 * band - 1  # the widths 5, 11, 40 and 251 among them
+    assert table.tobytes() == _reference_table(scheme, _TAUS, width).tobytes()
+
+
+def test_a_grid_with_a_missing_custom_tau_names_the_first():
+    scheme = CustomToeplitz({1: [1.0], 2: [1.0, 1.0], 4: [1.0, 1.0, 1.0, 0.5]})
+    consts = sure_constants(20)
+    band = np.eye(6)[:, :5]
+    s1, s2 = np.ones(6), np.ones(6)
+    for grid, missing in (((1, 2, 3, 4, 5), 3), ((4, 5, 3), 5)):
+        for profile in (
+            lambda: profile_values(s1, s2, consts, scheme, grid),
+            lambda: sure_profile_from_band(band, 6.0, consts, scheme, grid),
+            lambda: var_profile(np.eye(6), 20, scheme, grid),
+        ):
+            with pytest.raises(ParameterError, match=rf"^no weights provided for tau={missing}$"):
+                profile()
 
 
 def test_three_term_criterion_at_n_three_is_a_data_error():

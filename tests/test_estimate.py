@@ -83,6 +83,24 @@ def test_custom_toeplitz_validation():
         scheme.weights(3, 6)  # no row for tau=3
 
 
+def test_custom_toeplitz_rejects_a_nan_weight():
+    # a NaN is neither < 0 nor > 1, so the range check must fail it, not the profile later
+    with pytest.raises(ParameterError, match=r"^tau=3: weights must lie in \[0, 1\]$"):
+        CustomToeplitz({1: [1], 2: [1, 1], 3: [1, 1, math.nan]})
+
+
+def test_custom_toeplitz_table_must_be_a_mapping():
+    with pytest.raises(ParameterError, match="^weight table must be a mapping, got list$"):
+        CustomToeplitz([[1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("row", [[1.0, 1.0, "x"], [[1.0], [1.0, 1.0], 0.5], [1.0, 1.0, {}]],
+                         ids=["string", "ragged", "dict"])
+def test_custom_toeplitz_row_must_be_numbers(row):
+    with pytest.raises(ParameterError, match=r"^tau=3: weights must be numbers, got "):
+        CustomToeplitz({1: [1.0], 3: row})
+
+
 def test_mle_cov_small_case():
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     s = mle_cov(Dataset(rows=rows))

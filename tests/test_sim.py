@@ -15,7 +15,7 @@ import pytest
 from surecov import cli, sim, theory
 from surecov.criterion import _band_sums, sure_constants, sure_profile
 from surecov.errors import DataError, ParameterError
-from surecov.estimate import _BLOCK, Banding, CzzTaper, band_gram, mle_cov, taper
+from surecov.estimate import _BLOCK, Banding, CustomToeplitz, CzzTaper, band_gram, mle_cov, taper
 from surecov.model import (
     ArDecay,
     BandedUniform,
@@ -23,6 +23,7 @@ from surecov.model import (
     Explicit,
     PolyDecay,
     _blas_thread_setter,
+    _rng_for_seed,
     build_sigma,
     cholesky_factor,
     sample_dataset,
@@ -55,6 +56,35 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(0, 0) != derive_seed(1, 0)
     # chaining and out-of-range ints are fine (reduced mod 2**64)
     assert derive_seed(-1, 2**80 + 5) == derive_seed(-1 % 2**64, 5)
+
+
+def test_golden_streams():
+    """The first normals of two replication streams, pinned: no BLAS touches them, so they
+    hold on any CPU, and a change to the seeding or the generator changes every stream."""
+    golden = {
+        derive_seed(0, 0): [
+            -1.6369602428018653, 0.5961778329634809, -1.0148614321787222, -0.8197315572628939,
+            -1.3128906703129595, 1.7377443724558501, 1.5493950608666187, 0.05107065202886169,
+        ],
+        derive_seed(2019, 7): [
+            0.8112875597581303, 0.8399921312872224, -2.164704820026306, 0.9870220705509621,
+            0.04190356782785731, -0.38806417994917153, 0.7355362646110926, -1.1426339951261697,
+        ],
+    }
+    for seed, normals in golden.items():
+        assert _rng_for_seed(seed).standard_normal(8).tolist() == normals
+
+
+def test_golden_table_selections():
+    """Selection histograms and the oracle tau of a small table payload, pinned: counts and
+    tau do not move across BLAS kernels where the floats may."""
+    cfg = ExperimentConfig(
+        model=ArDecay(rho=0.6, p=30), n=50, c_values=(2.0, "logn"), replications=20, base_seed=5
+    )
+    results = run_experiment(cfg).results
+    hists = {k: v["selection_histogram"] for k, v in results["per_c"].items()}
+    assert hists == {"2": {"3": 2, "4": 13, "5": 4, "6": 1}, "logn": {"3": 16, "4": 4}}
+    assert results["oracle"]["tau"] == 4
 
 
 def test_normal_cdf_reference_values():
@@ -544,11 +574,21 @@ def test_single_replication_se_is_null():
     assert report.results["per_c"]["2"]["se_loss"] is None
 
 
-def test_run_replication_matches_experiment_loss():
+def _squared_taper(p):
+    """A custom scheme whose linear zone is ``((tau - d) / (tau - half))**2``, so w**2 != w."""
+    return CustomToeplitz({
+        tau: [1.0 if d <= tau // 2 else ((tau - d) / (tau - tau // 2)) ** 2 for d in range(tau)]
+        for tau in range(1, p + 1)
+    })
+
+
+@pytest.mark.parametrize("scheme", [Banding(), CzzTaper(), _squared_taper(24)], ids=lambda s: s.name)
+def test_run_replication_matches_experiment_loss(scheme):
     """The standalone entry point reproduces the in-experiment records, and
-    the recorded loss really is the squared Frobenius distance of the
-    tapered estimate from the truth."""
-    cfg = _small_config(reps=3)
+    the recorded loss, and a one-replication experiment's mean loss at every
+    tau, really is the squared Frobenius distance of the tapered estimate from
+    the truth, for each scheme: banding alone has w**2 = w."""
+    cfg = replace(_small_config(reps=3), model=PolyDecay(rho=0.6, alpha=0.5, p=24), scheme=scheme)
     rec = run_replication(cfg, 2)
     assert rec.seed == derive_seed(99, 2)
 
@@ -556,8 +596,15 @@ def test_run_replication_matches_experiment_loss():
     ds = sample_dataset(sigma, cfg.n, seed=rec.seed)
     s_tilde = mle_cov(Dataset(rows=ds.rows))
     tau = rec.tau_hat["2"]
-    direct = float(np.sum((taper(s_tilde, Banding(), tau) - sigma) ** 2))
+    direct = float(np.sum((taper(s_tilde, scheme, tau) - sigma) ** 2))
     assert rec.loss["2"] == pytest.approx(direct, rel=1e-10)
+
+    one = replace(cfg, replications=1)
+    s_tilde = mle_cov(sample_dataset(sigma, cfg.n, seed=derive_seed(99, 0)))
+    curve = run_experiment(one).results["mean_loss_by_tau"]
+    for t, mean_loss in zip(one.tau_grid(), curve, strict=True):
+        direct = float(np.sum((taper(s_tilde, scheme, t) - sigma) ** 2))
+        assert mean_loss == pytest.approx(direct, rel=1e-10)
 
 
 def test_histogram_counts_sum_to_replications():
@@ -823,7 +870,7 @@ def test_consistency_recovers_bandwidth():
     row = consistency_experiment(cfg).results["per_n"][0]
     assert row["frac_logn_equals_k0"] >= 0.8
     assert row["frac_sure2_in_window"] >= 0.8
-    assert row["window"][0] == 3
+    assert row["window"] == [3, 3 + math.ceil(math.log(150))] == [3, 9]  # floor(log 150) = 5
 
 
 def test_oracle_ratio_near_one_even_small():

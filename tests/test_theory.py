@@ -120,6 +120,32 @@ def test_risk_oracle_locations_on_banded_models():
         assert risk_profile(sigma, 250, CzzTaper()).oracle_tau == 2 * k0 - 3
 
 
+@pytest.mark.parametrize("c", [2.0, 3.0, "logn"], ids=["c2", "c3", "clogn"])
+@pytest.mark.parametrize("scheme", [Banding(), CzzTaper()], ids=lambda s: s.name)
+@pytest.mark.parametrize("n", [8, 25])
+@pytest.mark.parametrize("model", [ArDecay(rho=0.5, p=12), PolyDecay(rho=0.6, alpha=0.5, p=9)],
+                         ids=["ar", "poly"])
+def test_risk_is_the_exact_mean_of_the_criterion(model, n, scheme, c):
+    """R_c(tau) = E[SURE_c(tau)], summed entrywise over a dense p x p from the moments of the
+    MLE s = W/n, W ~ Wishart(n-1, Sigma):
+    E[s_ij^2] = ((n-1)^2 sigma_ij^2 + (n-1)(sigma_ij^2 + sigma_ii sigma_jj)) / n^2 and
+    E[s_ii s_jj] = ((n-1)^2 sigma_ii sigma_jj + 2(n-1) sigma_ij^2) / n^2.
+    At c = 2 this is the criterion's unbiasedness for the Frobenius risk, checked exactly."""
+    c = math.log(n) if c == "logn" else c
+    sigma = build_sigma(model)
+    p = len(sigma)
+    sq, dd = sigma**2, np.outer(np.diagonal(sigma), np.diagonal(sigma))
+    e_sq = ((n - 1) ** 2 * sq + (n - 1) * (sq + dd)) / n**2
+    e_dd = ((n - 1) ** 2 * dd + 2 * (n - 1) * sq) / n**2
+    gamma = n / (n - 1)
+    a_n, b_n = n * (n - 3) / ((n - 1) * (n - 2) * (n + 1)), n / ((n + 1) * (n - 2))
+    grid = tuple(range(1, p + 1))
+    for tau, risk in zip(grid, risk_profile(sigma, n, scheme, c, grid).values, strict=True):
+        w = taper(np.ones((p, p)), scheme, tau)
+        mean = np.sum((gamma - w) ** 2 * e_sq + (c * w - gamma) * (a_n * e_sq + b_n * e_dd))
+        assert risk == pytest.approx(mean, rel=1e-12)
+
+
 @pytest.mark.parametrize("c", [2.0, 3.0, math.log(40)], ids=["c2", "c3", "clog40"])
 @pytest.mark.parametrize("scheme", [Banding(), CzzTaper()], ids=lambda s: s.name)
 @pytest.mark.parametrize("model", [
