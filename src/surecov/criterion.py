@@ -24,16 +24,19 @@ where ``Sigma_tilde^s = n/(n-1) Sigma_tilde`` and ``varhat_ij =
 n/(n-1) * (a_n s_ij^2 + b_n s_ii s_jj)`` is the unbiased estimate of
 ``var(Sigma_tilde^s_ij)``.  The two forms are algebraically identical.
 
-Because every built-in weight depends only on ``d = |i-j|``, profiles are
-computed from per-distance band sums
+Because every built-in weight depends only on ``d = |i-j|`` and vanishes
+from ``d = tau`` on, profiles are computed from per-distance band sums
 
-    S1(d) = sum_{|i-j|=d} s_ij^2,    S2(d) = sum_{|i-j|=d} s_ii s_jj.
+    S1(d) = sum_{|i-j|=d} s_ij^2,    S2(d) = sum_{|i-j|=d} s_ii s_jj
 
-A grid whose largest tau is tau_max needs these only for d < tau_max, plus a
-tail bin that collects every d >= tau_max, where all weights are 0: the
-matrix total minus the other bins.  That is O(p * tau_max) per matrix plus
-one pass for its total, then O(tau_max) per grid point: one row of a weight
-table times the sums.
+for ``d < tau`` and the totals ``||s||_F^2 = sum_d S1(d)`` and ``(tr s)^2 =
+sum_d S2(d)``: with ``gamma = n/(n-1)``,
+
+    SURE_c(tau) = gamma (gamma - a_n) ||s||_F^2 - gamma b_n (tr s)^2
+                + sum_{d<tau} [(w_d^2 - 2 gamma w_d) S1(d) + c w_d (a_n S1(d) + b_n S2(d))].
+
+That is O(p * tau_max) per matrix plus one pass for its total, then
+O(tau_max) per grid point: one row of a weight table times the sums.
 
 All sums are read off one layout, ``band[i, d] = s[i, i+d]`` for d < tau_max
 (0 where i + d >= p): ``S1`` and the cross sums ``sum_{|i-j|=d} s_ij sigma_ij``
@@ -45,7 +48,7 @@ only where that costs fewer multiply-adds than products of column blocks,
 ``p <= n + 2 (256 + tau_max)``, so memory stays O(n p + p tau_max).
 
 ``SURE_c``, the exact risk ``R_c`` and the realised loss over a tau grid are
-products of one :class:`_Grid` weight table with such sums, and
+each a matrix total plus one :class:`_Grid` weight table times such sums, and
 :func:`_smallest_argmin` picks the smallest minimising tau of finite values.
 """
 
@@ -117,37 +120,21 @@ def sure_constants(n: int, c: float | str = 2.0) -> SureConstants:
     return SureConstants(n=n, c=c, a_n=a_n, b_n=b_n)
 
 
-def _sums(a: Matrix, b: Matrix, total: float | None = None) -> NDArray[np.float64]:
+def _sums(a: Matrix, b: Matrix) -> NDArray[np.float64]:
     """``out[d] = sum_{|i-j|=d} a_ij b_ij`` for ``d`` below the band width, from
-    the bands (see :func:`~surecov.estimate._band`) of symmetric ``a`` and ``b``
-    whose entrywise product sums to ``total``, and the tail bin (see :func:`_fold`)."""
-    out = np.zeros(a.shape[1] + 1)
-    out[:-1] = np.einsum("id,id->d", a, b)
-    return _fold(out, len(a), total)
-
-
-def _fold(out: NDArray[np.float64], p: int, total: float | None) -> NDArray[np.float64]:
-    """Turn upper-triangle sums ``out[:dmax]`` into sums over both triangles, and
-    set the tail bin ``out[dmax]`` to ``total`` (if given) minus them: every d >= dmax."""
-    dmax = len(out) - 1
-    out[1:dmax] *= 2.0
-    if dmax < p and total is not None:
-        out[dmax] = total - out[:dmax].sum()
+    the bands (see :func:`~surecov.estimate._band`) of symmetric ``a`` and ``b``."""
+    out = np.einsum("id,id->d", a, b)
+    out[1:] *= 2.0  # both triangles
     return out
 
 
-def _s2_sums(dvec: NDArray[np.float64], dmax: int) -> NDArray[np.float64]:
-    """``S2`` of a matrix with diagonal ``dvec`` for ``d < dmax``, with its tail bin."""
-    s2 = np.zeros(dmax + 1)
-    # S2 is the autocorrelation of the diagonal over lags d < dmax
-    s2[:dmax] = np.correlate(np.append(dvec, np.zeros(dmax - 1)), dvec, "valid")
-    return _fold(s2, len(dvec), dvec.sum() ** 2)
-
-
-def _band_sums(band: Matrix, frob_sq: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """``S1`` and ``S2`` of the matrix with this band and ``||m||_F^2 = frob_sq``,
-    for ``d`` below the band width, each with its tail bin."""
-    return _sums(band, band, frob_sq), _s2_sums(band[:, 0], band.shape[1])
+def _band_sums(band: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``S1`` and ``S2`` of the matrix with this band, for ``d`` below the band width."""
+    dvec = band[:, 0]
+    # S2 is the autocorrelation of the diagonal over lags below the width
+    s2 = np.correlate(np.append(dvec, np.zeros(band.shape[1] - 1)), dvec, "valid")
+    s2[1:] *= 2.0
+    return _sums(band, band), s2
 
 
 def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -156,8 +143,7 @@ def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
     Off-diagonal distances count both triangles.
     """
-    s1, s2 = _band_sums(*_band(sigma, len(sigma)))
-    return s1[:-1], s2[:-1]
+    return _band_sums(_band(sigma, len(sigma))[0])
 
 
 @dataclass(frozen=True)
@@ -190,21 +176,23 @@ def default_tau_grid(p: int, n: int, tau_max: int | None = None) -> tuple[int, .
 
 
 class _Grid:
-    """A checked tau grid and its weight table ``w[k, d] = w(taus[k], d)``, from one call of the
-    scheme for the whole grid, for ``d < width``, by default ``dmax + 1``: the tail bin (see
-    :func:`_fold`), where every weight is 0, comes last.  ``gap_sq = (n/(n-1) - w)**2``."""
+    """A checked tau grid and its weight table ``w[k, d] = w(taus[k], d)`` for ``d < dmax``,
+    from one call of the scheme for the whole grid, and SURE's ``fit = w**2 - 2 n/(n-1) w``."""
 
-    def __init__(self, scheme: WeightScheme, tau_grid, n: int, width: int | None = None):
+    def __init__(self, scheme: WeightScheme, tau_grid, n: int):
+        if n < 4:
+            raise DataError(f"the criterion requires n >= 4, got n={n}")
         self.taus = _check_grid(tau_grid)
         self.dmax = max(self.taus)
-        cols = self.dmax + 1 if width is None else width
-        self.w = scheme._table(self.taus, cols)
-        self.gap_sq = (n / (n - 1) - self.w) ** 2
+        self.w = scheme._table(self.taus, self.dmax)
+        self.fit = self.w**2 - 2 * n / (n - 1) * self.w
 
-    def sure(self, s1, s2, consts: SureConstants) -> NDArray[np.float64]:
-        """``SURE_c`` at every tau of the grid, from the band sums ``s1``, ``s2``."""
-        u = consts.a_n * s1 + consts.b_n * s2
-        return self.gap_sq @ s1 + consts.c * (self.w @ u) - consts.gamma * u.sum()
+    def sure(self, s1, s2, frob_sq, trace_sq, consts: SureConstants) -> NDArray[np.float64]:
+        """``SURE_c`` at every tau of the grid, from the band sums ``s1``, ``s2`` for ``d < dmax``
+        (or up to p, if less) and the totals ``||s||_F^2`` and ``(tr s)^2``."""
+        g, a, b, k = consts.gamma, consts.a_n, consts.b_n, len(s1)
+        total = g * (g - a) * frob_sq - g * b * trace_sq
+        return total + self.fit[:, :k] @ s1 + consts.c * (self.w[:, :k] @ (a * s1 + b * s2))
 
 
 def profile_values(
@@ -214,9 +202,9 @@ def profile_values(
     scheme: WeightScheme,
     tau_grid: tuple[int, ...],
 ) -> NDArray[np.float64]:
-    """Criterion values from band sums: full length, or cut at ``dmax >=
-    max(tau_grid)`` with a tail bin (whose weights are 0) for larger ``d``."""
-    return _Grid(scheme, tau_grid, consts.n, len(s1)).sure(s1, s2, consts)
+    """Criterion values from the band sums of :func:`band_sums`, for every ``d``."""
+    grid = _Grid(scheme, tau_grid, consts.n)
+    return grid.sure(s1[: grid.dmax], s2[: grid.dmax], s1.sum(), s2.sum(), consts)
 
 
 def sure_profile(
@@ -244,16 +232,13 @@ def sure_profile_from_band(
 
     ``band[i, d] = s[i, i + d]`` for ``d`` below at least ``max(tau_grid)``, 0
     past the end, and ``frob_sq = ||s||_F^2``: what
-    :func:`~surecov.estimate.band_gram` returns.  ``S1`` for ``d < max(tau_grid)``
-    is the column sums of ``band**2``, and its tail bin the total minus them.
+    :func:`~surecov.estimate.band_gram` returns.
     """
-    if consts.n < 4:
-        raise DataError(f"the criterion requires n >= 4, got n={consts.n}")
     grid = _Grid(scheme, tau_grid, consts.n)
     if band.shape[1] < grid.dmax:
         raise ParameterError(f"the band holds {band.shape[1]} distances, the grid needs {grid.dmax}")
-    s1, s2 = _band_sums(band[:, : grid.dmax], frob_sq)
-    values = grid.sure(s1, s2, consts)
+    s1, s2 = _band_sums(band[:, : grid.dmax])
+    values = grid.sure(s1, s2, frob_sq, band[:, 0].sum() ** 2, consts)
     return CriterionProfile(grid.taus, values, consts.c, _smallest_argmin(grid.taus, values))
 
 

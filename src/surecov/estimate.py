@@ -79,16 +79,18 @@ class CustomToeplitz(_Scheme):
     """User-supplied weights: ``table[tau]`` lists ``w(tau, d)`` for ``d < tau``.
 
     Entries beyond the listed ones are zero.  Each row is validated against
-    conditions (i)-(iii) at construction; a grid needs a row for each of its tau.
+    conditions (i)-(iii) at construction and kept as a tuple, so that tables with
+    the same rows compare equal and hash alike; a grid needs a row for each of its tau.
     """
 
-    table: Mapping[int, Sequence[float]] = field(repr=False)
+    table: Mapping[int, Sequence[float]] = field(repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False)  # the (tau, row) pairs in tau order: the key
     name = "custom"
 
     def __post_init__(self) -> None:
         if not isinstance(self.table, Mapping):
             raise ParameterError(f"weight table must be a mapping, got {type(self.table).__name__}")
-        clean: dict[int, NDArray[np.float64]] = {}
+        clean: dict[int, tuple[float, ...]] = {}
         for tau, row in self.table.items():
             _check_tau(tau)
             try:
@@ -104,8 +106,9 @@ class CustomToeplitz(_Scheme):
                 raise ParameterError(f"tau={tau}: weights must be 1 for d <= floor(tau/2)")
             if not np.all((0.0 <= w) & (w <= 1.0)):  # NaN too
                 raise ParameterError(f"tau={tau}: weights must lie in [0, 1]")
-            clean[int(tau)] = w
+            clean[int(tau)] = tuple(w.tolist())
         object.__setattr__(self, "table", clean)
+        object.__setattr__(self, "_rows", tuple(sorted(clean.items())))
 
     def _table(self, taus: Sequence[int], width: int) -> NDArray[np.float64]:
         out = np.zeros((len(taus), width))

@@ -237,8 +237,9 @@ class _Draws:
         self.local = threading.local()  # per worker thread: its rows and band_gram's arrays
 
     def sums(self, rep_index: int):
-        """``(seed, band, s1, s2)`` of one replication: its seed, the band of its draw's MLE
-        to the grid's ``dmax`` by ``band_gram`` (this worker's arrays, reused), its band sums."""
+        """``(seed, band, sums)`` of one replication: its seed, the band of its draw's MLE to the
+        grid's ``dmax`` by ``band_gram`` (this worker's arrays, reused), and the band sums and
+        totals that ``_Grid.sure`` takes, ``(s1, s2, ||s||_F^2, (tr s)^2)``."""
         cfg, dmax, ws = self.config, self.grid.dmax, vars(self.local)
         if "data" not in ws:  # this worker's first replication: band_gram's two arrays
             ws.update(_workspace(cfg.n, cfg.p, dmax))
@@ -247,8 +248,7 @@ class _Draws:
         # the normals go to the spare array, free until band_gram
         _draw(seed, self.factor, ws["spare"], ws["rows"])
         band, frob_sq = band_gram(ws["data"], dmax, ws)
-        s1, s2 = _band_sums(band, frob_sq)
-        return seed, band, s1, s2
+        return seed, band, (*_band_sums(band), frob_sq, band[:, 0].sum() ** 2)
 
 
 class _ExperimentContext(_Draws):
@@ -261,14 +261,13 @@ class _ExperimentContext(_Draws):
         self.w_sq = self.grid.w**2
 
     def replicate(self, rep_index: int) -> ReplicationRecord:
-        seed, band, s1, s2 = self.sums(rep_index)
-        # no total: the tail bin it would fill has weight 0 at every tau
+        seed, band, sums = self.sums(rep_index)
         cross = _sums(band, self.sigma_band)
-        # loss(tau) = sum_d w^2 S1(d) - 2 w X(d) + T(d), all per-distance sums
-        loss_curve = self.w_sq @ s1 - 2.0 * (self.grid.w @ cross) + self.sig_sq
+        # loss(tau) = ||Sigma||_F^2 + sum_{d<tau} w^2 S1(d) - 2 w X(d)
+        loss_curve = self.w_sq @ sums[0] - 2.0 * (self.grid.w @ cross) + self.sig_sq
 
         taus, sure = self.grid.taus, self.grid.sure
-        tau_hat = {k: _smallest_argmin(taus, sure(s1, s2, c)) for k, c in self.consts.items()}
+        tau_hat = {k: _smallest_argmin(taus, sure(*sums, c)) for k, c in self.consts.items()}
         loss = {k: float(loss_curve[taus.index(t)]) for k, t in tau_hat.items()}
         return ReplicationRecord(
             rep_index=rep_index, seed=seed, tau_hat=tau_hat, loss=loss, loss_curve=loss_curve
@@ -404,8 +403,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     consts = ctx.consts[ckey]
 
     def one(rep_index: int) -> float:
-        _, _, s1, s2 = ctx.sums(rep_index)
-        return (float(ctx.grid.sure(s1, s2, consts)[0]) - float(risk)) / scale
+        return (float(ctx.grid.sure(*ctx.sums(rep_index)[2], consts)[0]) - float(risk)) / scale
 
     sample = np.array(_map_ordered(one, config.replications, _pool_size(config)))
 

@@ -172,10 +172,9 @@ def _risk_profile(band: Matrix, frob_sq: float, n: int, scheme, c: float, tau_gr
         raise DataError(f"risk profile requires n >= 4, got n={n}")
     sure_constants(n, c)  # checks c
     grid = _Grid(scheme, tau_grid, n)
-    t1, t2 = _band_sums(band[:, : grid.dmax], frob_sq)
+    t1, t2 = _band_sums(band[:, : grid.dmax])
     w = grid.w
-    # R(tau) = ||Sigma||_F^2 + sum_d (f1 - 1) t1 + f2 t2, whose terms are exactly 0 where w is,
-    # so from d = tau on: one correctly rounded sum per tau, whatever the grid around it
+    # R(tau) = ||Sigma||_F^2 + sum_{d<tau} (f1 - 1) t1 + f2 t2: one correctly rounded sum per tau
     terms = ((n - 1) / n * w**2 - (2 * n - c) / n * w) * t1  # (f1 - 1) t1
     terms += ((n - 1) / n**2 * w**2 + (c - 2.0) / n * w) * t2  # f2 t2
     try:

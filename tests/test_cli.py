@@ -28,7 +28,7 @@ from surecov.cli import (
     read_matrix_csv,
     write_estimate,
 )
-from surecov.criterion import default_tau_grid, sure_constants, sure_profile
+from surecov.criterion import default_tau_grid, sure_constants, sure_eq2_reference, sure_profile
 from surecov.errors import DataError, ParameterError
 from surecov.estimate import Banding, CzzTaper, mle_cov, taper
 from surecov.model import ArDecay, BandedUniform, Dataset, build_sigma, sample_dataset
@@ -497,6 +497,9 @@ def test_select_round_trip_matches_in_process(data_csv, tmp_path, capsys):
     assert report["results"]["min_sure"] == pytest.approx(
         profile.values[profile.tau_grid.index(profile.selected_tau)]
     )
+    # and the literal three-term form, which shares no code with the profile's
+    literal = sure_eq2_reference(s_tilde, sure_constants(50, 2.0), Banding(), profile.selected_tau)
+    assert report["results"]["min_sure"] == pytest.approx(literal, rel=1e-12)
     assert report["config"]["seed"] is None
 
 

@@ -72,10 +72,10 @@ def _symmetric(rng, p):
 
 
 def _diagonal_loop(a, b, dmax):
-    """Reference: one dot product per diagonal, the tail summed from the rest."""
+    """Reference: one dot product per diagonal below dmax, 0 past the matrix's edge."""
     p = a.shape[0]
     full = [float(np.diagonal(a, d) @ np.diagonal(b, d)) * (2.0 if d else 1.0) for d in range(p)]
-    return full[:dmax] + [0.0] * (dmax - min(dmax, p)) + [sum(full[dmax:])]
+    return full[:dmax] + [0.0] * (dmax - min(dmax, p))
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,10 +83,9 @@ def _diagonal_loop(a, b, dmax):
 def test_per_distance_sums_match_diagonal_loop(seed, p):
     rng = np.random.default_rng(seed)
     a, b = _symmetric(rng, p), _symmetric(rng, p)
-    total = float(np.sum(a * b))
     scale = float(np.sum(np.abs(a * b)))
     for dmax in range(1, p + 2):
-        got = _sums(_band(a, dmax)[0], _band(b, dmax)[0], total)
+        got = _sums(_band(a, dmax)[0], _band(b, dmax)[0])
         assert got == pytest.approx(_diagonal_loop(a, b, dmax), rel=1e-12, abs=1e-13 * scale)
 
 
@@ -165,9 +164,10 @@ _TAUS = tuple(range(1, 300))
 @pytest.mark.parametrize("width", [1, 5, 11, 40, 251])
 @pytest.mark.parametrize("scheme", [Banding(), CzzTaper()], ids=lambda s: s.name)
 def test_grid_table_is_the_per_tau_rows_bit_for_bit(scheme, width):
-    w = _Grid(scheme, _TAUS, 20, width).w
-    assert w.shape == (len(_TAUS), width)
-    assert w.tobytes() == _reference_table(scheme, _TAUS, width).tobytes()
+    w = _Grid(scheme, _TAUS[:width], 20).w  # to the grid's largest tau
+    assert w.shape == (width, width)
+    assert w.tobytes() == _reference_table(scheme, _TAUS[:width], width).tobytes()
+    assert scheme._table(_TAUS, width).tobytes() == _reference_table(scheme, _TAUS, width).tobytes()
     for tau in (1, 2, 3, 7, 150, 299):
         assert scheme.weights(tau, width).tobytes() == _reference_row(scheme, tau, width).tobytes()
 
@@ -200,8 +200,12 @@ def test_a_grid_with_a_missing_custom_tau_names_the_first():
 
 def test_three_term_criterion_at_n_three_is_a_data_error():
     # n = 3 has constants (a_n = 0) but no criterion
+    consts = sure_constants(3, 2.0)
     with pytest.raises(DataError, match="the criterion requires n >= 4, got n=3"):
-        sure_eq2_reference(np.eye(2), sure_constants(3, 2.0), Banding(), 2)
+        sure_eq2_reference(np.eye(2), consts, Banding(), 2)
+    # profile_values used to return values here
+    with pytest.raises(DataError, match="the criterion requires n >= 4, got n=3"):
+        profile_values(*band_sums(np.eye(2)), consts, Banding(), (1, 2))
 
 
 def test_sure_identity_frozen():
@@ -217,23 +221,25 @@ def test_sure_identity_frozen():
     seed=st.integers(0, 10_000),
     n=st.integers(4, 30),
     p=st.integers(1, 16),
-    tau=st.integers(1, 16),
+    tau=st.integers(1, 19),
     c_extra=st.floats(0.0, 3.0),
     czz=st.booleans(),
 )
 def test_dual_formula_identity(seed, n, p, tau, c_extra, czz):
-    """The band-sum fast path, cut at the grid's largest tau, and the literal
-    three-term form agree at every tau of the grid."""
+    """The closed form, from band sums cut at the grid's largest tau (below, at or past p)
+    or from the full-length ones, and the literal three-term form agree at every tau."""
     rng = np.random.default_rng(seed)
     root = rng.normal(size=(p, p))
     sigma_tilde = root @ root.T / p
     consts = sure_constants(n, 2.0 + c_extra)
     scheme = CzzTaper() if czz else Banding()
-    grid = tuple(range(1, min(tau, p) + 1))
+    grid = tuple(range(1, min(tau, p + 3) + 1))
     fast = sure_profile(sigma_tilde, consts, scheme, grid).values
-    for t, value in zip(grid, fast):
+    full = profile_values(*band_sums(sigma_tilde), consts, scheme, grid)
+    for t, value, other in zip(grid, fast, full):
         ref = sure_eq2_reference(sigma_tilde, consts, scheme, t)
         assert value == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        assert other == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 @settings(max_examples=60, deadline=None)

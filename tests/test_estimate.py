@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from surecov.estimate import (
 from surecov.model import (
     ArDecay, BandedUniform, Dataset, Explicit, PolyDecay, _blas_thread_setter, build_sigma
 )
+from surecov.sim import ExperimentConfig
 
 
 def test_banding_weights_are_indicators():
@@ -81,6 +83,18 @@ def test_custom_toeplitz_validation():
     assert list(scheme.weights(4, 6)) == [1.0, 1.0, 1.0, 0.25, 0.0, 0.0]
     with pytest.raises(ParameterError):
         scheme.weights(3, 6)  # no row for tau=3
+
+
+def test_custom_toeplitz_compares_and_hashes_by_its_rows():
+    # rows kept as numpy arrays in a dict made == raise ValueError and hash TypeError
+    a = CustomToeplitz({1: [1.0], 3: [1.0, 1.0, 0.5]})
+    b = CustomToeplitz({3: (1, 1, 0.5), 1: np.ones(1)})
+    assert a == b and hash(a) == hash(b)
+    assert a != CustomToeplitz({1: [1.0], 3: [1.0, 1.0, 0.25]})
+    assert a != CustomToeplitz({1: [1.0]})
+    cfg = ExperimentConfig(model=ArDecay(rho=0.5, p=8), n=30, scheme=a, tau_max=3)
+    assert cfg == replace(cfg, scheme=b) and hash(cfg) == hash(replace(cfg, scheme=b))
+    assert list(b.weights(3, 4)) == [1.0, 1.0, 0.5, 0.0]
 
 
 def test_custom_toeplitz_rejects_a_nan_weight():

@@ -764,18 +764,18 @@ def _explicit_band_model(p):
 )
 def test_worker_arrays_give_the_public_chain_bit_for_bit(model, n):
     """A context's replication chain, filling one worker's arrays again and
-    again, gives the band and band sums of the public calls exactly."""
+    again, gives the band, band sums and totals of the public calls exactly."""
     cfg = ExperimentConfig(model=model, n=n, scheme=CzzTaper(), replications=3, base_seed=17)
     ctx = _ExperimentContext(cfg)
     sigma = build_sigma(model)
     chol = cholesky_factor(sigma)
     for rep_index in (0, 1, 2, 0):
-        seed, band, s1, s2 = ctx.sums(rep_index)
+        seed, band, sums = ctx.sums(rep_index)
         data = sample_dataset(sigma, n, seed, chol=chol)
         ref_band, frob_sq = band_gram(data, ctx.grid.dmax)
-        ref_s1, ref_s2 = _band_sums(ref_band, frob_sq)
+        ref_sums = (*_band_sums(ref_band), frob_sq, ref_band[:, 0].sum() ** 2)
         assert np.array_equal(band, ref_band)
-        assert np.array_equal(s1, ref_s1) and np.array_equal(s2, ref_s2)
+        assert all(np.array_equal(x, y) for x, y in zip(sums, ref_sums, strict=True))
 
 
 def test_payload_bytes_identical_across_pools_with_worker_arrays():

@@ -54,6 +54,11 @@ DEFECTS = {
         "half = t // 2  #",
         "half = t // 2 + 1  #",
     ),
+    "SURE total with + b_n (tr S)^2": (
+        "src/surecov/criterion.py",
+        "- g * b * trace_sq",
+        "+ g * b * trace_sq",
+    ),
 }
 
 
