@@ -655,6 +655,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # an array larger than memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

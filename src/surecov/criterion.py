@@ -35,17 +35,17 @@ sum_d S2(d)``: with ``gamma = n/(n-1)``,
     SURE_c(tau) = gamma (gamma - a_n) ||s||_F^2 - gamma b_n (tr s)^2
                 + sum_{d<tau} [(w_d^2 - 2 gamma w_d) S1(d) + c w_d (a_n S1(d) + b_n S2(d))].
 
-That is O(p * tau_max) per matrix plus one pass for its total, then
-O(tau_max) per grid point: one row of a weight table times the sums.
+With ``dmax = min(tau_max, p)``, as a p x p matrix has no distance past p - 1, that is O(p dmax)
+per matrix plus one pass for its total, then O(dmax) per grid point: a table row times the sums.
 
-All sums are read off one layout, ``band[i, d] = s[i, i+d]`` for d < tau_max
+All sums are read off one layout, ``band[i, d] = s[i, i+d]`` for d < dmax
 (0 where i + d >= p): ``S1`` and the cross sums ``sum_{|i-j|=d} s_ij sigma_ij``
 are column sums of two bands' product (:func:`_sums`), ``S2`` comes from the
 diagonal ``band[:, 0]``.  :func:`~surecov.estimate._band` reads band and
 total off a dense matrix, :func:`~surecov.estimate.band_gram` off the data
 rows for ``surecov select`` and every replication.  It forms the MLE
 only where that costs fewer multiply-adds than products of column blocks,
-``p <= n + 2 (256 + tau_max)``, so memory stays O(n p + p tau_max).
+``p <= n + 2 (256 + dmax)``, so memory stays O(n p + p dmax).
 
 ``SURE_c``, the exact risk ``R_c`` and the realised loss over a tau grid are
 each a matrix total plus one :class:`_Grid` weight table times such sums, and
@@ -176,23 +176,23 @@ def default_tau_grid(p: int, n: int, tau_max: int | None = None) -> tuple[int, .
 
 
 class _Grid:
-    """A checked tau grid and its weight table ``w[k, d] = w(taus[k], d)`` for ``d < dmax``,
-    from one call of the scheme for the whole grid, and SURE's ``fit = w**2 - 2 n/(n-1) w``."""
+    """A checked tau grid and its weight table ``w[k, d] = w(taus[k], d)`` for ``d < dmax =
+    min(max(taus), p)``, from one call of the scheme for the grid, and ``fit = w**2 - 2 n/(n-1) w``."""
 
-    def __init__(self, scheme: WeightScheme, tau_grid, n: int):
+    def __init__(self, scheme: WeightScheme, tau_grid, n: int, p: int):
         if n < 4:
             raise DataError(f"the criterion requires n >= 4, got n={n}")
         self.taus = _check_grid(tau_grid)
-        self.dmax = max(self.taus)
+        self.dmax = min(max(self.taus), p)
         self.w = scheme._table(self.taus, self.dmax)
         self.fit = self.w**2 - 2 * n / (n - 1) * self.w
 
     def sure(self, s1, s2, frob_sq, trace_sq, consts: SureConstants) -> NDArray[np.float64]:
         """``SURE_c`` at every tau of the grid, from the band sums ``s1``, ``s2`` for ``d < dmax``
-        (or up to p, if less) and the totals ``||s||_F^2`` and ``(tr s)^2``."""
-        g, a, b, k = consts.gamma, consts.a_n, consts.b_n, len(s1)
+        and the totals ``||s||_F^2`` and ``(tr s)^2``."""
+        g, a, b = consts.gamma, consts.a_n, consts.b_n
         total = g * (g - a) * frob_sq - g * b * trace_sq
-        return total + self.fit[:, :k] @ s1 + consts.c * (self.w[:, :k] @ (a * s1 + b * s2))
+        return total + self.fit @ s1 + consts.c * (self.w @ (a * s1 + b * s2))
 
 
 def profile_values(
@@ -203,7 +203,7 @@ def profile_values(
     tau_grid: tuple[int, ...],
 ) -> NDArray[np.float64]:
     """Criterion values from the band sums of :func:`band_sums`, for every ``d``."""
-    grid = _Grid(scheme, tau_grid, consts.n)
+    grid = _Grid(scheme, tau_grid, consts.n, len(s1))
     return grid.sure(s1[: grid.dmax], s2[: grid.dmax], s1.sum(), s2.sum(), consts)
 
 
@@ -218,7 +218,7 @@ def sure_profile(
     Ties are broken toward the smallest tau (the most parsimonious estimate).
     """
     grid = _check_grid(tau_grid)
-    return sure_profile_from_band(*_band(sigma_tilde, max(grid)), consts, scheme, grid)
+    return sure_profile_from_band(*_band(sigma_tilde, min(max(grid), len(sigma_tilde))), consts, scheme, grid)
 
 
 def sure_profile_from_band(
@@ -230,11 +230,11 @@ def sure_profile_from_band(
 ) -> CriterionProfile:
     """:func:`sure_profile` of the MLE ``s`` given only its band and total.
 
-    ``band[i, d] = s[i, i + d]`` for ``d`` below at least ``max(tau_grid)``, 0
-    past the end, and ``frob_sq = ||s||_F^2``: what
+    ``band[i, d] = s[i, i + d]`` for ``d`` below at least ``min(max(tau_grid), p)``,
+    0 where ``i + d >= p``, and ``frob_sq = ||s||_F^2``: what
     :func:`~surecov.estimate.band_gram` returns.
     """
-    grid = _Grid(scheme, tau_grid, consts.n)
+    grid = _Grid(scheme, tau_grid, consts.n, len(band))
     if band.shape[1] < grid.dmax:
         raise ParameterError(f"the band holds {band.shape[1]} distances, the grid needs {grid.dmax}")
     s1, s2 = _band_sums(band[:, : grid.dmax])

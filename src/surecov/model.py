@@ -158,9 +158,15 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# the most float64 values one array can hold: numpy refuses a larger shape before it allocates
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
 def _check_dim(p: int) -> int:
     if not (_is_int(p) and p >= 1):
         raise ParameterError(f"dimension p must be a positive integer, got {p!r}")
+    if p > _MAX_FLOATS:
+        raise ParameterError(f"dimension p={p} is more floats than an array can hold")
     return int(p)
 
 

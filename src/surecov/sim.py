@@ -46,6 +46,7 @@ from .model import (
     Dataset,
     Explicit,
     PolyDecay,
+    _MAX_FLOATS,
     _ONE_BLAS_THREAD,
     _draw,
     _draw_factor,
@@ -146,6 +147,8 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), kinds):
                 names = ", ".join(t.__name__ for t in kinds.__args__)
                 raise ParameterError(f"{name} must be one of {names}, got {getattr(self, name)!r}")
+        if self.n * self.p > _MAX_FLOATS:  # the n x p rows of a replication
+            raise ParameterError(f"n p = {self.n * self.p} is more floats than an array can hold")
         if not (isinstance(self.c_values, (tuple, list)) and self.c_values):
             raise ParameterError(f"c_values must be a non-empty tuple, got {self.c_values!r}")
         self.resolved_c()  # each c, as given, is 'logn' or a number, and is >= 2 at this n
@@ -231,7 +234,7 @@ class _Draws:
     def __init__(self, config: ExperimentConfig, grid):
         self.config = config
         self.factor = _draw_factor(config.model)
-        self.grid = _Grid(config.scheme, grid, config.n)
+        self.grid = _Grid(config.scheme, grid, config.n, config.p)
         self.cmap = config.resolved_c()
         self.consts = {k: sure_constants(config.n, c) for k, c in self.cmap.items()}
         self.local = threading.local()  # per worker thread: its rows and band_gram's arrays

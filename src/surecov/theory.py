@@ -1,9 +1,9 @@
 """Exact population quantities for the criterion: risk, variance, moment oracles.
 
 Everything here is a deterministic function of the true covariance ``Sigma``.
-Risk and variance read only its band (to tau_max or the truncation band) and ``||Sigma||_F^2``:
-each public function takes them off a dense ``Sigma`` by ``estimate._band`` for a core that
-:func:`_model_theory`, the one theory step of ``risk`` and ``clt``, calls on a model's band.
+Risk and variance read only its band (to min(tau_max, p) or the truncation band) and
+``||Sigma||_F^2``: each public function takes them off a dense ``Sigma`` by ``estimate._band`` for a
+core that :func:`_model_theory`, the one theory step of ``risk`` and ``clt``, calls on a model's band.
 
 Risk
 ----
@@ -163,15 +163,15 @@ def risk_profile(
     The oracle tau is the smallest grid point attaining the minimum.
     """
     taus = _check_grid(default_tau_grid(len(sigma), n) if tau_grid is None else tau_grid)
-    return _risk_profile(*_band(sigma, max(taus)), n, scheme, c, taus)
+    return _risk_profile(*_band(sigma, min(max(taus), len(sigma))), n, scheme, c, taus)
 
 
 def _risk_profile(band: Matrix, frob_sq: float, n: int, scheme, c: float, tau_grid) -> RiskProfile:
-    """:func:`risk_profile` of the sigma with this band, ``max(tau_grid)`` or wider, and total."""
+    """:func:`risk_profile` of the sigma with this band, ``_Grid.dmax`` or wider, and total."""
     if n < 4:
         raise DataError(f"risk profile requires n >= 4, got n={n}")
     sure_constants(n, c)  # checks c
-    grid = _Grid(scheme, tau_grid, n)
+    grid = _Grid(scheme, tau_grid, n, len(band))
     t1, t2 = _band_sums(band[:, : grid.dmax])
     w = grid.w
     # R(tau) = ||Sigma||_F^2 + sum_{d<tau} (f1 - 1) t1 + f2 t2: one correctly rounded sum per tau
@@ -354,7 +354,7 @@ def _model_theory(model: CovModel, n: int, scheme, grid, c: float, var=None):
     ``_var_width``'s rule, its var_n there and the method and band the rule applied (else three
     Nones), off Sigma's band, read once, on one BLAS thread."""
     method, band, k = _var_width(model.p, *var, model) if var else (None, None, 0)
-    sigma, frob_sq = _sigma_band(model, max(max(grid), k))
+    sigma, frob_sq = _sigma_band(model, min(max(max(grid), k), model.p))
     with _ONE_BLAS_THREAD:
         risk = _risk_profile(sigma, frob_sq, n, scheme, c, grid)
         return risk, _var_profile(sigma[:, :k], n, scheme, grid, c) if var else None, method, band

@@ -687,6 +687,25 @@ def test_overflowing_model_exits_4(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite" in lines[0]
 
 
+_AR = ["--model", "ar-decay", "--rho", "0.5"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    # numpy cannot allocate 7.11 PiB: a MemoryError
+    (["risk", *_AR, "--n", "10", "--p", str(10**15)], "error: out of memory: Unable to allocate 7.11 PiB"),
+    # numpy would refuse these shapes with a bare ValueError
+    (["risk", *_AR, "--n", "10", "--p", str(10**20)],
+     "error: dimension p=100000000000000000000 is more floats"),
+    (["simulate", *_AR, "--p", "10", "--n", str(10**19), "--reps", "2"],
+     "error: n p = 100000000000000000000 is more floats"),
+], ids=["risk-memory", "risk-p", "simulate-np"])
+def test_an_array_too_large_for_memory_is_a_usage_error(capsys, argv, message):
+    """Sizes beyond any address space, so nothing is allocated: exit 2, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["simulate", "risk"])
 def test_logn_below_two_names_logn(capsys, command):
     argv = [command, "--model", "ar-decay", "--rho", "0.5", "--p", "6", "--n", "5", "--c", "logn"]

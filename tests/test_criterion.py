@@ -8,6 +8,7 @@ the implementation existed:
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surecov import estimate, theory
+from surecov.cli import main
 from surecov.criterion import (
     CriterionProfile,
     _Grid,
@@ -164,7 +166,7 @@ _TAUS = tuple(range(1, 300))
 @pytest.mark.parametrize("width", [1, 5, 11, 40, 251])
 @pytest.mark.parametrize("scheme", [Banding(), CzzTaper()], ids=lambda s: s.name)
 def test_grid_table_is_the_per_tau_rows_bit_for_bit(scheme, width):
-    w = _Grid(scheme, _TAUS[:width], 20).w  # to the grid's largest tau
+    w = _Grid(scheme, _TAUS[:width], 20, width).w  # to the grid's largest tau, p no smaller
     assert w.shape == (width, width)
     assert w.tobytes() == _reference_table(scheme, _TAUS[:width], width).tobytes()
     assert scheme._table(_TAUS, width).tobytes() == _reference_table(scheme, _TAUS, width).tobytes()
@@ -414,6 +416,27 @@ def test_every_grid_entry_point_takes_positive_integer_taus(bad, good, at):
             call(grid)
         expected = call(good)
         assert np.array_equal(call([np.int64(t) for t in good]), expected), name
+
+
+def test_a_tau_past_p_costs_and_gives_what_tau_p_does(capsys):
+    """A 6 x 6 matrix has the distances 0..5, so every entry point reads its band or sums to
+    width min(tau, p): with banding, a tau past p gives the bits of tau = p, in under 1 MiB."""
+    for name, call in _grid_entry_points().items():
+        expected = np.asarray(call([6]), dtype=np.float64).tobytes()
+        for tau in (12, 200, 10**15, 10**18):
+            tracemalloc.start()
+            try:
+                values = np.asarray(call([tau]), dtype=np.float64).tobytes()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert values == expected, (name, tau)
+            assert peak < 2**20, (name, tau, peak)
+    argv = ["clt", "--model", "banded-uniform", "--k0", "3", "--p", "10", "--n", "10",
+            "--reps", "3", "--scheme", "czz", "--tau"]
+    for tau in (10**18, 10**20):
+        assert main([*argv, str(tau)]) == 0, tau
+    capsys.readouterr()
 
 
 def test_logn_penalty_never_selects_larger_tau():

@@ -59,6 +59,11 @@ DEFECTS = {
         "- g * b * trace_sq",
         "+ g * b * trace_sq",
     ),
+    "grid width not capped at p": (
+        "src/surecov/criterion.py",
+        "self.dmax = min(max(self.taus), p)",
+        "self.dmax = max(self.taus)",
+    ),
 }
 
 
