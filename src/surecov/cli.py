@@ -595,15 +595,25 @@ class _ConfigParser(argparse.ArgumentParser):
 
 
 def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.ArgumentParser:
+    class Subcommand(parser_class):
+        """Adds its ``COMMANDS`` flags when it first parses: a run parses one subcommand."""
+
+        flags: dict[str, dict] = {}
+
+        def parse_known_args(self, args=None, namespace=None):
+            flags, self.flags = self.flags, {}
+            for names, kwargs in flags.items():
+                self.add_argument(*names.split(), **kwargs)
+            return super().parse_known_args(args, namespace)
+
     parser = parser_class(
         prog="surecov",
         description="SURE-tuned banding/tapering of large covariance matrices",
     )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+    subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=Subcommand)
     for name, (help_text, defaults, flags) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        for names, kwargs in flags.items():
-            sub.add_argument(*names.split(), **kwargs)
+        sub.flags = flags
         sub.set_defaults(**defaults)
     return parser
 

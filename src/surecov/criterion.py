@@ -113,7 +113,10 @@ def resolve_c(c: float | str, n: int) -> float:
 
 
 def sure_constants(n: int, c: float | str = 2.0) -> SureConstants:
-    """``a_n`` and ``b_n``; needs n >= 3 (n = 3 gives a_n = 0) and c as in :func:`resolve_c`."""
+    """``a_n`` and ``b_n``; needs an integer n >= 3 (n = 3 gives a_n = 0) and c as in
+    :func:`resolve_c`."""
+    if not _is_int(n):
+        raise ParameterError(f"n must be an integer, got n={n!r}")
     c = resolve_c(c, n)
     a_n = n * (n - 3) / ((n - 1) * (n - 2) * (n + 1))
     b_n = n / ((n + 1) * (n - 2))

@@ -122,9 +122,9 @@ class CustomToeplitz(_Scheme):
 WeightScheme = Banding | CzzTaper | CustomToeplitz
 
 
-def _check_tau(tau: int) -> None:
+def _check_tau(tau: int, name: str = "tau") -> None:
     if not (_is_int(tau) and tau >= 1):
-        raise ParameterError(f"tau must be a positive integer, got {tau!r}")
+        raise ParameterError(f"{name} must be a positive integer, got {tau!r}")
 
 
 def _buf(ws: dict | None, key: str, shape: tuple[int, ...]) -> Matrix:
@@ -214,6 +214,7 @@ def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix
     on one BLAS thread, as their bits depend on the count.
     ``_ws`` holds arrays (the band returned among them) that a call fills for the next to reuse.
     """
+    _check_tau(dmax, "dmax")
     if _dense(data.n, data.p, dmax):
         return _band(mle_cov(data, _ws), dmax, _ws)
     centered = _centered(data, _ws)

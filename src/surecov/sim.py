@@ -104,6 +104,8 @@ def ks_statistic(sample: NDArray[np.float64]) -> float:
     m = xs.size
     if m < 2:
         raise DataError("KS statistic is undefined for fewer than 2 observations")
+    if not np.isfinite(xs).all():
+        raise DataError("KS statistic is undefined for a non-finite sample")
     cdf = np.array([normal_cdf(float(x)) for x in xs])
     grid_lo = np.arange(m) / m
     grid_hi = np.arange(1, m + 1) / m

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: parsing, files, exit codes, round-trips."""
 
+import argparse
 import csv
 import json
 import math
@@ -857,6 +858,68 @@ def test_every_long_option_is_a_config_key(tmp_path, capsys):
             from_flag = vars(parse_args([sub, *flag]))
             assert from_file.pop("config") == str(cfg) and from_flag.pop("config") is None
             assert from_file == from_flag, (sub, opt)
+
+
+def _eager_parser(parser_class: type = argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The reference parser: every subcommand's flags added while the tree is built."""
+    lazy = build_parser()
+    parser = parser_class(prog=lazy.prog, description=lazy.description)
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, defaults, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for names, kwargs in flags.items():
+            sub.add_argument(*names.split(), **kwargs)
+        sub.set_defaults(**defaults)
+    return parser
+
+
+_PARITY_ARGV = {
+    "no subcommand": [],
+    "help": ["--help"],
+    "unknown subcommand": ["frobnicate"],
+    **{f"{sub} help": [sub, "--help"] for sub in COMMANDS},
+    "bad choice": ["select", "--scheme", "bogus"],
+    "bad positional choice": ["table1", "model9"],
+    "bad type": ["risk", "--p", "six"],
+    "unrecognised flag": ["clt", "--bogus", "1"],
+    "ambiguous flag": ["risk", "--t", "3"],
+    "stray positional": [*_RISK, "stray"],
+    "config runs": ["risk", "--config", "run.cfg"],
+    "config bad type": ["risk", "--config", "bad.cfg"],
+    "config bad choice": ["simulate", "--config", "choice.cfg"],
+}
+
+
+@pytest.mark.parametrize("argv", _PARITY_ARGV.values(), ids=_PARITY_ARGV)
+def test_lazy_flags_parse_like_eager_flags(argv, tmp_path, monkeypatch, capsys):
+    """Flags added when a subcommand first parses: the same output and exit code as flags
+    added up front, for help, usage errors, config-file errors and a run."""
+    (tmp_path / "run.cfg").write_text("model = ar-decay\nrho = 0.5\np = 6\nn = 20\nwith-var = yes\n")
+    (tmp_path / "bad.cfg").write_text("p = six\n")
+    (tmp_path / "choice.cfg").write_text("kind = bogus\n")
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for parser in (build_parser, _eager_parser):
+        monkeypatch.setattr(surecov.cli, "build_parser", parser)
+        code = main(list(argv))
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0 if argv and (argv[-1] in ("--help", "run.cfg")) else 2)
+
+
+def test_a_parser_adds_only_the_flags_it_parses(monkeypatch):
+    """One ``build_parser`` parses a subcommand twice, and adds its flags once."""
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *a, **kw: added.append(a) or add_argument(self, *a, **kw))
+    parser = build_parser()
+    first = parser.parse_args(["risk", "--p", "5"])
+    second = parser.parse_args(["risk", "--n", "7", "--with-var"])
+    assert (first.p, first.n, first.with_var) == (5, None, None)
+    assert (second.p, second.n, second.with_var) == (None, 7, True)
+    # one help action per parser, and the flags of risk alone
+    assert len(added) == 1 + len(COMMANDS) + len(COMMANDS["risk"][2])
 
 
 def _readme_commands() -> list[list[str]]:

@@ -59,6 +59,12 @@ def test_constants_validation():
     # a c that is neither a string nor a real number used to end in float()'s TypeError
     with pytest.raises(ParameterError, match=r"^penalty multiplier c must be a real number or 'logn', got \[2\]$"):
         sure_constants(30, [2])
+    # a non-integer n used to give constants (3.5) or float()'s TypeError ("10")
+    for n in (3.5, "10", 10.0, True):
+        with pytest.raises(ParameterError, match=rf"^n must be an integer, got n={n!r}$"):
+            sure_constants(n)
+    with pytest.raises(ParameterError, match=r"n=10\.5"):
+        risk_profile(np.eye(3), 10.5, Banding())
 
 
 def test_band_sums_hand_case():

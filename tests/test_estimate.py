@@ -183,6 +183,15 @@ def test_taper_matches_dense_definition(scheme):
             assert taper(sigma, scheme, tau).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("blocked", [False, True])
+def test_band_gram_checks_its_width_as_a_tau(blocked):
+    # these used to raise IndexError, ValueError and TypeError
+    data = Dataset(rows=np.random.default_rng(2).normal(size=(5, 600 if blocked else 6)))
+    for dmax in (0, -1, 2.5, True, None):
+        with pytest.raises(ParameterError, match=rf"^dmax must be a positive integer, got {dmax!r}$"):
+            band_gram(data, dmax)
+
+
 @pytest.mark.parametrize("dmax", [2, 5])  # dmax < p and dmax = p, both on the dense branch
 def test_band_gram_on_tall_data_makes_no_n_by_n_array(dmax):
     n, p = 20_000, 5

@@ -107,6 +107,10 @@ def test_ks_statistic():
     assert ks_statistic(np.array([-10.0, 10.0])) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(DataError):
         ks_statistic(np.array([1.0]))
+    # these used to give nan and 0.84
+    for sample in ([np.nan, 1.0], [np.inf, 1.0, 2.0], [-np.inf, 0.0]):
+        with pytest.raises(DataError, match="non-finite sample"):
+            ks_statistic(np.array(sample))
 
 
 def _normal_quantile(q, lo=-10.0, hi=10.0):

@@ -64,6 +64,11 @@ DEFECTS = {
         "self.dmax = min(max(self.taus), p)",
         "self.dmax = max(self.taus)",
     ),
+    "flags added at every parse": (
+        "src/surecov/cli.py",
+        "flags, self.flags = self.flags, {}",
+        "flags = self.flags",
+    ),
 }
 
 
