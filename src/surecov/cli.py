@@ -250,6 +250,12 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _csv(header: str, rows) -> str:
+    """Rows of cells under ``header`` (if any): a float by :func:`_format_float`, others by ``str``."""
+    lines = [",".join(_format_float(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join([header, *lines] if header else lines) + "\n"
+
+
 @contextlib.contextmanager
 def _output(path: str):
     """``path`` open for writing; a failure to write it is a usage error naming it."""
@@ -262,9 +268,7 @@ def _output(path: str):
 
 def write_profile_csv(path: str, grid: tuple[int, ...], values) -> None:
     with _output(path) as fh:
-        fh.write("tau,sure_value\n")
-        for t, v in zip(grid, values):
-            fh.write(f"{t},{_format_float(v)}\n")
+        fh.write(_csv("tau,sure_value", zip(grid, values)))
 
 
 def write_estimate(path: str, band: np.ndarray, scheme: WeightScheme, tau: int, fmt: str) -> None:
@@ -402,28 +406,16 @@ _RUNS = {
 
 def _simulate_csv(report) -> str:
     """Flat plot-ready tables for the JSON-averse."""
-    lines = []
     results = report.results
     if "per_c" in results:
-        lines.append("c,mean_loss,se_loss,mean_selected_tau")
-        for key, stats in results["per_c"].items():
-            se = stats["se_loss"]
-            lines.append(
-                f"{key},{_format_float(stats['mean_loss'])},"
-                f"{'' if se is None else _format_float(se)},"
-                f"{_format_float(stats['mean_selected_tau'])}"
-            )
-    elif "per_n" in results:
-        lines.append("n,frac_logn_equals_k0,frac_sure2_in_window")
-        for row in results["per_n"]:
-            lines.append(
-                f"{row['n']},{_format_float(row['frac_logn_equals_k0'])},"
-                f"{_format_float(row['frac_sure2_in_window'])}"
-            )
-    else:
-        for key, value in sorted(results.items()):
-            lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+        return _csv("c,mean_loss,se_loss,mean_selected_tau", (
+            (key, s["mean_loss"], "" if s["se_loss"] is None else s["se_loss"], s["mean_selected_tau"])
+            for key, s in results["per_c"].items()))
+    if "per_n" in results:
+        return _csv("n,frac_logn_equals_k0,frac_sure2_in_window", (
+            (row["n"], row["frac_logn_equals_k0"], row["frac_sure2_in_window"])
+            for row in results["per_n"]))
+    return _csv("", sorted(results.items()))
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
@@ -461,12 +453,9 @@ def cmd_risk(ns: argparse.Namespace) -> int:
     grid = default_tau_grid(model.p, ns.n, ns.tau_max)
     var = (ns.var_method, ns.truncation_band) if ns.with_var else None
     profile, var, _, _ = _model_theory(model, ns.n, scheme_from_name(ns.scheme), grid, c, var)
-    lines = ["tau,risk" if var is None else "tau,risk,var_n"]
-    for i, (t, r) in enumerate(zip(profile.tau_grid, profile.values)):
-        line = f"{t},{_format_float(r)}"
-        lines.append(line if var is None else f"{line},{_format_float(var[i])}")
-    lines.append(f"# oracle_tau = {profile.oracle_tau}")
-    _emit("\n".join(lines) + "\n", ns.out)
+    columns = (profile.tau_grid, profile.values) + (() if var is None else (var,))
+    table = _csv("tau,risk" if var is None else "tau,risk,var_n", zip(*columns))
+    _emit(f"{table}# oracle_tau = {profile.oracle_tau}\n", ns.out)
     return 0
 
 

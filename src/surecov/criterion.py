@@ -63,7 +63,7 @@ from numpy.typing import NDArray
 
 from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, _band, _check_tau, taper
-from .model import Matrix, _is_int
+from .model import Matrix, _check_matrix, _is_int
 
 __all__ = [
     "SureConstants",
@@ -123,6 +123,14 @@ def sure_constants(n: int, c: float | str = 2.0) -> SureConstants:
     return SureConstants(n=n, c=c, a_n=a_n, b_n=b_n)
 
 
+def _check_n(n, what: str) -> None:
+    """The criterion's sample size: an integer n >= 4, else an error saying that ``what`` needs it."""
+    if not _is_int(n):
+        raise ParameterError(f"n must be an integer, got n={n!r}")
+    if n < 4:
+        raise DataError(f"{what} requires n >= 4, got n={n}")
+
+
 def _sums(a: Matrix, b: Matrix) -> NDArray[np.float64]:
     """``out[d] = sum_{|i-j|=d} a_ij b_ij`` for ``d`` below the band width, from
     the bands (see :func:`~surecov.estimate._band`) of symmetric ``a`` and ``b``."""
@@ -146,6 +154,7 @@ def band_sums(sigma: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
     Off-diagonal distances count both triangles.
     """
+    sigma = _check_matrix(sigma, "sigma")
     return _band_sums(_band(sigma, len(sigma))[0])
 
 
@@ -183,8 +192,7 @@ class _Grid:
     min(max(taus), p)``, from one call of the scheme for the grid, and ``fit = w**2 - 2 n/(n-1) w``."""
 
     def __init__(self, scheme: WeightScheme, tau_grid, n: int, p: int):
-        if n < 4:
-            raise DataError(f"the criterion requires n >= 4, got n={n}")
+        _check_n(n, "the criterion")
         self.taus = _check_grid(tau_grid)
         self.dmax = min(max(self.taus), p)
         self.w = scheme._table(self.taus, self.dmax)
@@ -206,6 +214,8 @@ def profile_values(
     tau_grid: tuple[int, ...],
 ) -> NDArray[np.float64]:
     """Criterion values from the band sums of :func:`band_sums`, for every ``d``."""
+    if getattr(s1, "ndim", 0) != 1 or getattr(s2, "shape", None) != s1.shape:
+        raise ParameterError("band sums s1 and s2 must be 1-D arrays of one length")
     grid = _Grid(scheme, tau_grid, consts.n, len(s1))
     return grid.sure(s1[: grid.dmax], s2[: grid.dmax], s1.sum(), s2.sum(), consts)
 
@@ -220,8 +230,8 @@ def sure_profile(
 
     Ties are broken toward the smallest tau (the most parsimonious estimate).
     """
-    grid = _check_grid(tau_grid)
-    return sure_profile_from_band(*_band(sigma_tilde, min(max(grid), len(sigma_tilde))), consts, scheme, grid)
+    grid, s = _check_grid(tau_grid), _check_matrix(sigma_tilde, "sigma_tilde")
+    return sure_profile_from_band(*_band(s, min(max(grid), len(s))), consts, scheme, grid)
 
 
 def sure_profile_from_band(
@@ -257,9 +267,8 @@ def sure_eq2_reference(
     ``s^u`` the unbiased sample covariance.  Serves as an independent oracle
     for :func:`sure_profile`; it is O(p^2) per tau.
     """
-    if consts.n < 4:
-        raise DataError(f"the criterion requires n >= 4, got n={consts.n}")
-    s = np.asarray(sigma_tilde, dtype=np.float64)
+    _check_n(consts.n, "the criterion")
+    s = _check_matrix(sigma_tilde, "sigma_tilde")
     diff = (taper(s, scheme, tau) - s * consts.gamma).ravel()
     # einsum, not diff @ diff: a BLAS ddot this long goes multi-threaded, which
     # on a small host costs far more than the sum itself

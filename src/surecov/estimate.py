@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .errors import ParameterError
 from .model import (
-    _ONE_BLAS_THREAD, CovModel, Dataset, Explicit, Matrix, _is_int, _toeplitz, _toeplitz_vals
+    _ONE_BLAS_THREAD, CovModel, Dataset, Explicit, Matrix, _check_matrix, _is_int, _toeplitz, _toeplitz_vals
 )
 
 __all__ = [
@@ -134,8 +134,15 @@ def _buf(ws: dict | None, key: str, shape: tuple[int, ...]) -> Matrix:
     return np.empty(shape) if ws is None else ws[key]
 
 
+def _rows(data: Dataset) -> Matrix:
+    """``data.rows``; a ``data`` that is no :class:`Dataset` is a ``ParameterError`` naming it."""
+    if not isinstance(data, Dataset):
+        raise ParameterError(f"data must be a Dataset, got {type(data).__name__}")
+    return data.rows
+
+
 def _centered(data: Dataset, ws: dict | None = None) -> Matrix:
-    rows = data.rows
+    rows = _rows(data)
     return np.subtract(rows, rows.mean(axis=0), out=_buf(ws, "centred", rows.shape))
 
 
@@ -215,7 +222,7 @@ def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix
     ``_ws`` holds arrays (the band returned among them) that a call fills for the next to reuse.
     """
     _check_tau(dmax, "dmax")
-    if _dense(data.n, data.p, dmax):
+    if _dense(*_rows(data).shape, dmax):
         return _band(mle_cov(data, _ws), dmax, _ws)
     centered = _centered(data, _ws)
     n, p = centered.shape
@@ -255,6 +262,6 @@ def _workspace(n: int, p: int, dmax: int) -> dict:
 
 def taper(sigma_tilde: Matrix, scheme: WeightScheme, tau: int) -> Matrix:
     """The tapered estimate ``w o sigma_tilde``: ``out[i,j] = sigma_tilde[i,j] * w(tau,|i-j|)``."""
-    sigma_tilde = np.asarray(sigma_tilde, dtype=np.float64)
+    sigma_tilde = _check_matrix(sigma_tilde, "sigma_tilde")
     p = sigma_tilde.shape[0]
     return sigma_tilde * _toeplitz(scheme.weights(tau, p), p)

@@ -110,13 +110,9 @@ class Explicit:
     p: int = 0
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError(f"Explicit matrix must be square, got shape {m.shape}")
+        m = _check_matrix(self.matrix, "Explicit matrix", finite=True)
         if not np.array_equal(m, m.T):
             raise ParameterError("Explicit matrix must be symmetric")
-        if not np.all(np.isfinite(m)):
-            raise ParameterError("Explicit matrix has non-finite entries")
         if np.any(np.diag(m) <= 0):
             raise ParameterError("Explicit matrix must have positive diagonal")
         object.__setattr__(self, "matrix", m)
@@ -160,6 +156,18 @@ def _is_int(value) -> bool:
 
 # the most float64 values one array can hold: numpy refuses a larger shape before it allocates
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def _check_matrix(m, name: str, finite: bool = False) -> Matrix:
+    """``m`` as a square, nonempty float array, finite with ``finite``, else a ParameterError naming it."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ParameterError(f"{name} must be square, got shape {m.shape}")
+    if m.size == 0:
+        raise ParameterError(f"{name} must be at least 1 x 1, got shape {m.shape}")
+    if finite and not np.isfinite(m).all():
+        raise ParameterError(f"{name} has non-finite entries")
+    return m
 
 
 def _check_dim(p: int) -> int:
@@ -280,10 +288,11 @@ def cholesky_factor(sigma: Matrix) -> Matrix:
 
     If plain factorization fails, one attempt is made after adding
     ``1e-10 * trace(sigma)/p`` to the diagonal; a second failure raises
-    :class:`NumericalError`.  Intended to be computed once per experiment and
+    :class:`NumericalError`.  A ``sigma`` that is not square or not finite is a
+    :class:`ParameterError`.  Intended to be computed once per experiment and
     reused across replications.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma = _check_matrix(sigma, "sigma", finite=True)
     with _ONE_BLAS_THREAD:  # LAPACK's bits depend on BLAS's thread count
         try:
             return np.linalg.cholesky(sigma)
@@ -358,15 +367,9 @@ def sample_dataset(sigma: Matrix, n: int, seed: int, chol: Matrix | None = None)
         raise DataError(f"need n >= 3 observations, got n={n}")
     if not (_is_int(seed) and seed >= 0):
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ParameterError(f"sigma must be square, got shape {sigma.shape}")
-    if sigma.size == 0:
-        raise ParameterError("sigma must be at least 1 x 1, got shape (0, 0)")
-    if not np.isfinite(sigma).all():
-        raise ParameterError("sigma has non-finite entries")
-    chol = cholesky_factor(sigma) if chol is None else np.asarray(chol, dtype=np.float64)
-    if chol.shape != sigma.shape:
-        raise ParameterError(f"chol must have sigma's shape {sigma.shape}, got {chol.shape}")
+    sigma = _check_matrix(sigma, "sigma", finite=True)
+    if chol is not None and np.shape(chol) != sigma.shape:
+        raise ParameterError(f"chol must have sigma's shape {sigma.shape}, got {np.shape(chol)}")
+    chol = cholesky_factor(sigma) if chol is None else _check_matrix(chol, "chol", finite=True)
     shape = (int(n), len(sigma))
     return Dataset(rows=_draw(seed, chol, np.empty(shape), np.empty(shape)), seed=seed)

@@ -79,11 +79,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .criterion import (
-    _band_sums, _check_grid, _Grid, _smallest_argmin, default_tau_grid, sure_constants
+    _band_sums, _check_grid, _check_n, _Grid, _smallest_argmin, default_tau_grid, sure_constants
 )
-from .errors import DataError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .estimate import WeightScheme, _band, _sigma_band
-from .model import _ONE_BLAS_THREAD, CovModel, Matrix, _is_int, model_bandwidth
+from .model import _ONE_BLAS_THREAD, CovModel, Matrix, _check_matrix, _is_int, model_bandwidth
 
 __all__ = [
     "CoeffSet",
@@ -121,8 +121,7 @@ def coeffs(n: int, c: float, omega) -> CoeffSet:
     ``abar + (a_n + (n-1) b_n) * bbar`` exactly (since
     ``a_n + (n-1) b_n = n/(n-1)``) but is exactly zero at ``omega = 0``.
     """
-    if n < 4:
-        raise DataError(f"coefficients require n >= 4, got n={n}")
+    _check_n(n, "coeffs")
     w = np.asarray(omega, dtype=np.float64)
     if not np.all((0.0 <= w) & (w <= 1.0)):
         raise ParameterError(f"omega must lie in [0, 1], got {omega}")
@@ -162,14 +161,14 @@ def risk_profile(
 
     The oracle tau is the smallest grid point attaining the minimum.
     """
+    _check_n(n, "risk profile")
+    sigma = _check_matrix(sigma, "sigma")
     taus = _check_grid(default_tau_grid(len(sigma), n) if tau_grid is None else tau_grid)
     return _risk_profile(*_band(sigma, min(max(taus), len(sigma))), n, scheme, c, taus)
 
 
 def _risk_profile(band: Matrix, frob_sq: float, n: int, scheme, c: float, tau_grid) -> RiskProfile:
     """:func:`risk_profile` of the sigma with this band, ``_Grid.dmax`` or wider, and total."""
-    if n < 4:
-        raise DataError(f"risk profile requires n >= 4, got n={n}")
     sure_constants(n, c)  # checks c
     grid = _Grid(scheme, tau_grid, n, len(band))
     t1, t2 = _band_sums(band[:, : grid.dmax])
@@ -204,8 +203,7 @@ def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np
     """:func:`var_profile` of the sigma with this band, whose width k <= p is the truncation
     band, on band storage (see the module docstring): the tau-independent part once, then each
     tau at its own width, so that its value does not depend on the grid around it."""
-    if n < 4:
-        raise DataError(f"var_n requires n >= 4, got n={n}")
+    _check_n(n, "var_n")
     taus = _check_grid(tau_grid)
     p, k = band.shape
     w = 2 * k - 1
@@ -323,6 +321,7 @@ def var_profile(
     to k = min(truncation band, p) is read, and k may not exceed ``VAR_EXACT_CAP``; ``risk`` and
     ``clt`` pass a model's band without forming sigma.
     """
+    sigma = _check_matrix(sigma, "sigma")
     k = _var_width(len(sigma), method, truncation_band)[2]
     return _var_profile(_band(sigma, k)[0], n, scheme, tau_grid, c)
 
@@ -371,6 +370,7 @@ def var_n(
 ) -> VarApprox:
     """Evaluate the four-term variance approximation at one tau: the one-point
     grid of :func:`var_profile`, with the same methods and costs."""
+    sigma = _check_matrix(sigma, "sigma")
     method, band, k = _var_width(len(sigma), method, truncation_band)
     value = _var_profile(_band(sigma, k)[0], n, scheme, (tau,), c)[0]
     return VarApprox(tau=int(tau), value=float(value), method=method, truncation_band=band)
@@ -382,7 +382,7 @@ def isserlis_moment(sigma_small: Matrix, indices: Sequence[int]) -> float:
     Sums ``prod sigma_(pairs)`` over all (k-1)!! perfect pairings of the
     positions.  Odd k gives 0; k is capped at 8.
     """
-    sigma = np.asarray(sigma_small, dtype=np.float64)
+    sigma = _check_matrix(sigma_small, "sigma_small")
     idx = [int(i) for i in indices]
     if len(idx) > 8:
         raise ParameterError(f"isserlis moment capped at 8 indices, got {len(idx)}")
@@ -431,7 +431,7 @@ def exact_sure_variance(
     the falling factorial ``(n-1)(n-2)...`` and each block contributes an
     Isserlis moment of its concatenated coordinate indices.
     """
-    sigma = np.asarray(sigma_small, dtype=np.float64)
+    sigma = _check_matrix(sigma_small, "sigma_small")
     p = sigma.shape[0]
     if p > 3:
         raise ParameterError(f"exact_sure_variance is capped at p <= 3, got p={p}")

@@ -1146,6 +1146,30 @@ def test_simulate_csv_holds_the_json_results(capsys, kind):
         assert lines == [f"{key},{value}" for key, value in sorted(results.items())]
 
 
+def test_risk_table_bytes(capsys):
+    """The whole ``risk`` table: no value passes through BLAS, whose kernel can move the last bits."""
+    argv = ["risk", "--model", "ar-decay", "--rho", "0.5", "--p", "5", "--n", "10", "--scheme", "czz"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "tau,risk\n1,3.3953125\n2,2.3153125\n3,2.5178125000000002\n4,2.5656250000000003\n"
+        "5,2.8612890625\n# oracle_tau = 2\n"
+    )
+
+
+def test_oracle_ratio_csv_bytes(capsys):
+    """The whole oracle-ratio CSV of one replication, whose ``ratio_half_width`` is None; the mean
+    loss and the ratio pass through BLAS products, so those two come from the JSON report."""
+    argv = ["simulate", "--model", "ar-decay", "--rho", "0.5", "--p", "8", "--n", "20",
+            "--kind", "oracle-ratio", "--reps", "1", "--format"]
+    assert main(argv + ["json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert main(argv + ["csv"]) == 0
+    assert capsys.readouterr().out == (
+        f"mean_loss,{results['mean_loss']!r}\noracle_risk,2.421958007812501\noracle_tau,3\n"
+        f"ratio,{results['ratio']!r}\nratio_half_width,None\n"
+    )
+
+
 def test_clt_command(capsys):
     code = main(["clt", "--model", "banded-uniform", "--k0", "2", "--offdiag", "0.3",
                  "--p", "10", "--n", "24", "--tau", "2", "--reps", "100", "--seed", "3"])

@@ -64,6 +64,16 @@ DEFECTS = {
         "self.dmax = min(max(self.taus), p)",
         "self.dmax = max(self.taus)",
     ),
+    "n check accepting n = 3": (
+        "src/surecov/criterion.py",
+        "    if n < 4:",
+        "    if n < 3:",
+    ),
+    "CSV floats as .12g": (
+        "src/surecov/cli.py",
+        "_format_float(v) if isinstance(v, float)",
+        'f"{v:.12g}" if isinstance(v, float)',
+    ),
     "flags added at every parse": (
         "src/surecov/cli.py",
         "flags, self.flags = self.flags, {}",
