@@ -355,7 +355,8 @@ def cmd_select(ns: argparse.Namespace) -> int:
     n, p = data.rows.shape
     consts = sure_constants(n, ns.c)
     grid = default_tau_grid(p, n, ns.tau_max)
-    band, frob_sq = band_gram(data, grid[-1])
+    # the parsed rows are select's own and read no more: centre them in place
+    band, frob_sq = band_gram(data, grid[-1], {"centred": data.rows})
     profile = sure_profile_from_band(band, frob_sq, consts, scheme, grid)
     tau_hat = profile.selected_tau
 

@@ -179,6 +179,8 @@ def _check_grid(tau_grid) -> tuple[int, ...]:
 
 def default_tau_grid(p: int, n: int, tau_max: int | None = None) -> tuple[int, ...]:
     """Grid 1..min(p, n) by default; ``tau_max`` overrides the cap up to p."""
+    if not (_is_int(p) and _is_int(n)):
+        raise ParameterError(f"p and n must be integers, got p={p!r}, n={n!r}")
     if tau_max is not None and not _is_int(tau_max):
         raise ParameterError(f"tau_max must be an integer, got {tau_max!r}")
     if tau_max is not None and tau_max < 1:
@@ -247,6 +249,8 @@ def sure_profile_from_band(
     0 where ``i + d >= p``, and ``frob_sq = ||s||_F^2``: what
     :func:`~surecov.estimate.band_gram` returns.
     """
+    if np.ndim(band) != 2:
+        raise ParameterError(f"band must be a 2-D array, got shape {np.shape(band)}")
     grid = _Grid(scheme, tau_grid, consts.n, len(band))
     if band.shape[1] < grid.dmax:
         raise ParameterError(f"the band holds {band.shape[1]} distances, the grid needs {grid.dmax}")

@@ -142,6 +142,8 @@ def _rows(data: Dataset) -> Matrix:
 
 
 def _centered(data: Dataset, ws: dict | None = None) -> Matrix:
+    """The centred rows, in ``ws["centred"]``; that may be ``data.rows`` itself, which a caller
+    that owns the rows passes to centre them in place.  Without ``ws`` the rows are untouched."""
     rows = _rows(data)
     return np.subtract(rows, rows.mean(axis=0), out=_buf(ws, "centred", rows.shape))
 

@@ -160,7 +160,10 @@ _MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 def _check_matrix(m, name: str, finite: bool = False) -> Matrix:
     """``m`` as a square, nonempty float array, finite with ``finite``, else a ParameterError naming it."""
-    m = np.asarray(m, dtype=np.float64)
+    try:
+        m = np.asarray(m, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or not numbers
+        raise ParameterError(f"{name} must be a numeric matrix") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"{name} must be square, got shape {m.shape}")
     if m.size == 0:
@@ -178,12 +181,20 @@ def _check_dim(p: int) -> int:
     return int(p)
 
 
+def _check_kind(value, kinds, name: str) -> None:
+    """A ParameterError naming ``name`` unless ``value`` is an instance of the union ``kinds``."""
+    if not isinstance(value, kinds):
+        names = ", ".join(t.__name__ for t in kinds.__args__)
+        raise ParameterError(f"{name} must be one of {names}, got {value!r}")
+
+
 def build_sigma(model: CovModel) -> Matrix:
     """Construct the true covariance matrix for ``model``.
 
     The output is exactly symmetric (built from |i-j| only, or validated as
     such for :class:`Explicit`).
     """
+    _check_kind(model, CovModel, "model")
     if isinstance(model, Explicit):
         return model.matrix.copy()
     return _toeplitz(_toeplitz_vals(model), model.p)
@@ -220,6 +231,7 @@ def model_bandwidth(model: CovModel) -> int | None:
     The bandwidth k0 is the smallest k with ``sigma_ij = 0`` whenever
     ``|i-j| >= k``.  Decay models have no exact band.
     """
+    _check_kind(model, CovModel, "model")
     if isinstance(model, BandedUniform):
         return model.k0
     if isinstance(model, Explicit):

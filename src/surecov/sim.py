@@ -48,6 +48,7 @@ from .model import (
     PolyDecay,
     _MAX_FLOATS,
     _ONE_BLAS_THREAD,
+    _check_kind,
     _draw,
     _draw_factor,
     _is_int,
@@ -145,10 +146,8 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.n < 4:
             raise ParameterError(f"experiments require n >= 4, got n={self.n}")
-        for name, kinds in (("model", CovModel), ("scheme", WeightScheme)):
-            if not isinstance(getattr(self, name), kinds):
-                names = ", ".join(t.__name__ for t in kinds.__args__)
-                raise ParameterError(f"{name} must be one of {names}, got {getattr(self, name)!r}")
+        _check_kind(self.model, CovModel, "model")
+        _check_kind(self.scheme, WeightScheme, "scheme")
         if self.n * self.p > _MAX_FLOATS:  # the n x p rows of a replication
             raise ParameterError(f"n p = {self.n * self.p} is more floats than an array can hold")
         if not (isinstance(self.c_values, (tuple, list)) and self.c_values):

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import surecov
+from surecov import estimate
 from surecov.cli import (
     COMMANDS,
     _read_plain_csv,
@@ -578,6 +579,27 @@ def test_band_select_makes_no_p_by_p_array(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < p * p * 8 / 4  # a quarter of one p x p float64 array
+    assert json.loads(capsys.readouterr().out)["results"]["selected_tau"] >= 1
+
+
+@pytest.mark.parametrize("n, p, tau_max, dense", [(40, 4000, 40, False), (300, 120, 5, True)],
+                         ids=["blocked", "dense"])
+def test_select_holds_its_data_once(tmp_path, capsys, n, p, tau_max, dense):
+    """select centres its parsed rows in place, so its traced peak stays below the rows, the
+    band, one block or S, and half the rows again; a centred copy of the rows would not."""
+    path = tmp_path / "data.csv"
+    _write_csv(path, np.random.default_rng(5).normal(size=(n, p)))
+    tracemalloc.start()
+    try:
+        code = main(["select", "--data", str(path), "--tau-max", str(tau_max)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert estimate._dense(n, p, tau_max) is dense
+    rows, band = n * p * 8, p * tau_max * 8
+    work = p * p * 8 if dense else estimate._BLOCK * (estimate._BLOCK + tau_max - 1) * 8
+    assert peak < rows + band + work + rows // 2, peak
     assert json.loads(capsys.readouterr().out)["results"]["selected_tau"] >= 1
 
 

@@ -273,6 +273,23 @@ def test_band_gram_in_its_two_array_workspace_matches_fresh_arrays(n, p, dmax):
         assert (band.tobytes(), frob_sq) == (fresh.tobytes(), fresh_sq)
 
 
+@pytest.mark.parametrize("p, blocked", [(6, False), (600, True)], ids=["dense", "blocked"])
+def test_only_a_callers_own_workspace_centres_its_rows(p, blocked):
+    """band_gram and mle_cov leave a caller's rows untouched; given ``{"centred": rows}``,
+    band_gram centres the rows in place and returns the same bytes."""
+    rows = np.random.default_rng(4).normal(size=(5, p)) + 3.0
+    data = Dataset(rows=rows.copy())
+    with mock.patch.object(estimate, "mle_cov", wraps=mle_cov) as dense:
+        band, frob_sq = band_gram(data, 2)
+    assert dense.called is not blocked
+    mle_cov(data)
+    assert data.rows.tobytes() == rows.tobytes()
+    owned = Dataset(rows=rows.copy())
+    in_place, in_place_sq = band_gram(owned, 2, {"centred": owned.rows})
+    assert (in_place.tobytes(), in_place_sq) == (band.tobytes(), frob_sq)
+    assert owned.rows.tobytes() == (rows - rows.mean(axis=0)).tobytes()
+
+
 def test_blocked_band_gram_does_not_depend_on_the_callers_blas_thread_count():
     """The blocked branch's products run on one BLAS thread, so its band and total are the
     same whatever count the caller runs at.  At two threads 15 of these band entries used

@@ -91,6 +91,13 @@ _B = surecov.Banding()
                  id="profile_values-2d"),
     pytest.param(lambda: surecov.profile_values(np.ones(5), np.ones(3), _K, _B, (1, 2)), "s1",
                  id="profile_values-5-and-3"),
+    pytest.param(lambda: surecov.band_sums([[1.0, 2.0], [3.0]]), "sigma", id="band_sums-ragged"),
+    pytest.param(lambda: surecov.band_sums([["a", "b"], ["c", "d"]]), "sigma", id="band_sums-strings"),
+    pytest.param(lambda: surecov.sure_profile_from_band(np.ones(5), 1.0, _K, _B, (1,)), "band",
+                 id="sure_profile_from_band-1d"),
+    pytest.param(lambda: surecov.default_tau_grid(2.5, 10), "p", id="default_tau_grid-float-p"),
+    pytest.param(lambda: surecov.build_sigma(np.eye(3)), "model", id="build_sigma-ndarray"),
+    pytest.param(lambda: surecov.model_bandwidth(np.eye(3)), "model", id="model_bandwidth-ndarray"),
 ])
 def test_bad_input_is_a_typed_error_naming_the_argument(call, name):
     with pytest.raises(ParameterError) as info:

@@ -79,6 +79,11 @@ DEFECTS = {
         "flags, self.flags = self.flags, {}",
         "flags = self.flags",
     ),
+    "select centring a copy": (
+        "src/surecov/cli.py",
+        'band_gram(data, grid[-1], {"centred": data.rows})',
+        "band_gram(data, grid[-1])",
+    ),
 }
 
 
