@@ -304,6 +304,14 @@ def _emit(text: str, out: str | None) -> None:
 # --- model construction from flags ----------------------------------------
 
 
+# --model name -> (model class, {flag: its default, None if the flag is required})
+_MODELS: dict[str, tuple[type, dict]] = {cls.name: (cls, flags) for cls, flags in (
+    (PolyDecay, {"rho": 0.6, "alpha": None}),
+    (ArDecay, {"rho": None}),
+    (BandedUniform, {"k0": 5, "offdiag": 0.25, "unit_diagonal": False}),
+)}
+
+
 def model_from_args(ns: argparse.Namespace) -> CovModel:
     """The model of ``--model`` and its flags; every caller also needs ``--n``."""
     kind = ns.model
@@ -315,26 +323,15 @@ def model_from_args(ns: argparse.Namespace) -> CovModel:
         raise ParameterError("--n is required")
     if ns.n < 4:  # the library calls a small n a data error; here it is a flag
         raise ParameterError(f"--n must be >= 4, got {ns.n}")
-    if kind == "poly-decay":
-        _default(ns, "rho", 0.6)
-        if ns.alpha is None:
-            raise ParameterError("poly-decay requires --alpha")
-        return PolyDecay(rho=ns.rho, alpha=ns.alpha, p=ns.p)
-    if kind == "ar-decay":
-        if ns.rho is None:
-            raise ParameterError("ar-decay requires --rho")
-        return ArDecay(rho=ns.rho, p=ns.p)
-    _default(ns, "k0", 5)  # banded-uniform
-    _default(ns, "offdiag", 0.25)
-    return BandedUniform(
-        k0=ns.k0,
-        offdiag=ns.offdiag,
-        p=ns.p,
-        unit_diagonal=bool(ns.unit_diagonal),
-    )
+    cls, flags = _MODELS[kind]
+    for flag, value in flags.items():
+        _default(ns, flag, value)
+        if getattr(ns, flag) is None:
+            raise ParameterError(f"{kind} requires --{flag}")
+    return cls(p=ns.p, **{flag: getattr(ns, flag) for flag in flags})
 
 
-_SCHEMES: dict[str, WeightScheme] = {"banding": Banding(), "czz": CzzTaper()}
+_SCHEMES: dict[str, WeightScheme] = {scheme.name: scheme for scheme in (Banding(), CzzTaper())}
 
 
 def scheme_from_name(name: str | None) -> WeightScheme:
@@ -490,7 +487,7 @@ def cmd_clt(ns: argparse.Namespace) -> int:
 _SWITCH = {"action": "store_true", "default": None}
 _SCHEME = {"--scheme": {"choices": list(_SCHEMES)}}
 _MODEL = {
-    "--model": {"choices": ["poly-decay", "ar-decay", "banded-uniform"]},
+    "--model": {"choices": list(_MODELS)},
     "--rho": {"type": float},
     "--alpha": {"type": float},
     "--k0": {"type": int},

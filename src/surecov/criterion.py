@@ -63,7 +63,7 @@ from numpy.typing import NDArray
 
 from .errors import DataError, NumericalError, ParameterError
 from .estimate import WeightScheme, _band, _check_tau, taper
-from .model import Matrix, _check_matrix, _is_int
+from .model import _ONE_BLAS_THREAD, Matrix, _check_matrix, _is_int
 
 __all__ = [
     "SureConstants",
@@ -202,10 +202,12 @@ class _Grid:
 
     def sure(self, s1, s2, frob_sq, trace_sq, consts: SureConstants) -> NDArray[np.float64]:
         """``SURE_c`` at every tau of the grid, from the band sums ``s1``, ``s2`` for ``d < dmax``
-        and the totals ``||s||_F^2`` and ``(tr s)^2``."""
+        and the totals ``||s||_F^2`` and ``(tr s)^2``; its products on one BLAS thread, as their
+        bits depend on the count."""
         g, a, b = consts.gamma, consts.a_n, consts.b_n
         total = g * (g - a) * frob_sq - g * b * trace_sq
-        return total + self.fit @ s1 + consts.c * (self.w @ (a * s1 + b * s2))
+        with _ONE_BLAS_THREAD:
+            return total + self.fit @ s1 + consts.c * (self.w @ (a * s1 + b * s2))
 
 
 def profile_values(

@@ -24,7 +24,8 @@ from numpy.typing import NDArray
 
 from .errors import ParameterError
 from .model import (
-    _ONE_BLAS_THREAD, CovModel, Dataset, Explicit, Matrix, _check_matrix, _is_int, _toeplitz, _toeplitz_vals
+    _MAX_FLOATS, _ONE_BLAS_THREAD, CovModel, Dataset, Explicit, Matrix, _check_matrix, _is_int,
+    _toeplitz, _toeplitz_vals,
 )
 
 __all__ = [
@@ -224,10 +225,12 @@ def band_gram(data: Dataset, dmax: int, _ws: dict | None = None) -> tuple[Matrix
     ``_ws`` holds arrays (the band returned among them) that a call fills for the next to reuse.
     """
     _check_tau(dmax, "dmax")
-    if _dense(*_rows(data).shape, dmax):
+    n, p = _rows(data).shape
+    if p * int(dmax) > _MAX_FLOATS:  # the p x dmax band
+        raise ParameterError(f"a p x dmax = {p} x {dmax} band is more floats than an array can hold")
+    if _dense(n, p, dmax):
         return _band(mle_cov(data, _ws), dmax, _ws)
     centered = _centered(data, _ws)
-    n, p = centered.shape
     band = _buf(_ws, "band", (p, dmax))
     # past column p, zero columns keep the skewed view in bounds
     block = _buf(_ws, "block", (_BLOCK, _BLOCK + dmax - 1))

@@ -1,7 +1,7 @@
 """True covariance models and Gaussian sampling.
 
 Three parametric families are provided, plus an escape hatch for explicit
-matrices:
+matrices, each with a ``name``, the ``variant`` that reports echo:
 
 * ``PolyDecay(rho, alpha)``: unit diagonal, ``sigma_ij = rho * |i-j|**-(alpha+1)``.
 * ``ArDecay(rho)``: ``sigma_ij = rho**|i-j|``.
@@ -27,6 +27,7 @@ bits depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import threading
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ Matrix = NDArray[np.float64]
 class PolyDecay:
     """Polynomially decaying covariances, ``sigma_ij = rho * |i-j|**-(alpha+1)``."""
 
+    name = "poly-decay"
     rho: float
     alpha: float
     p: int
@@ -73,6 +75,7 @@ class PolyDecay:
 class ArDecay:
     """Autoregressive-type covariances, ``sigma_ij = rho**|i-j|``."""
 
+    name = "ar-decay"
     rho: float
     p: int
 
@@ -86,6 +89,7 @@ class ArDecay:
 class BandedUniform:
     """Exactly banded covariance: identity plus a constant band of width k0."""
 
+    name = "banded-uniform"
     k0: int
     offdiag: float
     p: int
@@ -106,6 +110,7 @@ class BandedUniform:
 class Explicit:
     """A user-supplied symmetric covariance matrix."""
 
+    name = "explicit"
     matrix: Matrix = field(repr=False)
     p: int = 0
 
@@ -262,8 +267,9 @@ def _set_blas_threads(count: int) -> int:
     return setter(count) if setter else 0
 
 
-class _OneBlasThread:
-    """While any caller is inside, BLAS runs on one thread.
+class _OneBlasThread(contextlib.ContextDecorator):
+    """While any caller is inside, in a ``with`` block or a function it decorates, BLAS runs on
+    one thread.
 
     This holds where the count is process-wide, as in numpy's bundled OpenBLAS
     0.3.31 (a count set in one thread is the count every other thread reads;

@@ -44,7 +44,6 @@ from .model import (
     BandedUniform,
     CovModel,
     Dataset,
-    Explicit,
     PolyDecay,
     _MAX_FLOATS,
     _ONE_BLAS_THREAD,
@@ -185,18 +184,10 @@ class ExperimentConfig:
         }
 
 
-_VARIANTS = {
-    PolyDecay: "poly-decay",
-    ArDecay: "ar-decay",
-    BandedUniform: "banded-uniform",
-    Explicit: "explicit",
-}
-
-
 def _model_echo(model: CovModel) -> dict:
     """The model's variant name and the fields its repr shows (so not ``Explicit.matrix``)."""
     shown = {f.name: getattr(model, f.name) for f in fields(model) if f.repr}
-    return {"variant": _VARIANTS[type(model)], **shown}
+    return {"variant": model.name, **shown}
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,7 @@ class VarApprox:
 # shifted rows.
 
 
+@_ONE_BLAS_THREAD  # the products' bits depend on the count
 def _var_profile(band: Matrix, n: int, scheme, tau_grid, c: float) -> NDArray[np.float64]:
     """:func:`var_profile` of the sigma with this band, whose width k <= p is the truncation
     band, on band storage (see the module docstring): the tau-independent part once, then each

@@ -33,7 +33,9 @@ from surecov.cli import (
 from surecov.criterion import default_tau_grid, sure_constants, sure_eq2_reference, sure_profile
 from surecov.errors import DataError, ParameterError
 from surecov.estimate import Banding, CzzTaper, mle_cov, taper
-from surecov.model import ArDecay, BandedUniform, Dataset, build_sigma, sample_dataset
+from surecov.model import (
+    ArDecay, BandedUniform, Dataset, _blas_thread_setter, build_sigma, sample_dataset
+)
 from surecov.theory import VAR_EXACT_CAP, risk_profile, var_profile
 
 
@@ -391,6 +393,30 @@ def test_every_command_gives_the_same_bytes_under_any_openblas_thread_count(tmp_
         assert out1[name] == out2[name], name
     for name in files1:
         assert files1[name] == files2[name], name
+
+
+def test_select_does_not_depend_on_the_callers_blas_thread_count(tmp_path, capsys):
+    """The criterion's products run on one BLAS thread, so ``select`` prints and writes the same
+    bytes whatever count the process runs at.  On this 20 x 700 CSV with ``--tau-max 700``, its
+    report and profile used to differ in the last bits at two threads."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    rows = np.random.default_rng(5).standard_normal((20, 700)).cumsum(axis=1)
+    _write_csv(tmp_path / "wide.csv", rows)
+    profile = tmp_path / "profile.csv"
+    seen = []
+    before = setter(2)
+    try:
+        for count in (2, 1):
+            setter(count)
+            assert main(["select", "--data", str(tmp_path / "wide.csv"), "--tau-max", "700",
+                         "--profile-out", str(profile)]) == 0
+            seen.append((capsys.readouterr().out, profile.read_bytes()))
+            assert setter(count) == count
+    finally:
+        setter(before)
+    assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -87,6 +87,8 @@ _B = surecov.Banding()
     # the shapes of test_band_gram_checks_its_width_as_a_tau: band_gram's dense, then blocked branch
     pytest.param(lambda: surecov.band_gram(np.ones((5, 6)), 2), "data", id="band_gram-dense-ndarray"),
     pytest.param(lambda: surecov.band_gram(np.ones((5, 600)), 2), "data", id="band_gram-blocked-ndarray"),
+    pytest.param(lambda: surecov.band_gram(surecov.Dataset(rows=np.ones((10, 5))), 10**19), "dmax",
+                 id="band_gram-dmax-past-memory"),
     pytest.param(lambda: surecov.profile_values(np.ones((5, 2)), np.ones((5, 2)), _K, _B, (1, 2)), "s1",
                  id="profile_values-2d"),
     pytest.param(lambda: surecov.profile_values(np.ones(5), np.ones(3), _K, _B, (1, 2)), "s1",

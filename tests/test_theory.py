@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from surecov.criterion import default_tau_grid
 from surecov.errors import DataError, NumericalError, ParameterError
 from surecov.estimate import Banding, CustomToeplitz, CzzTaper, _sigma_band, taper
-from surecov.model import ArDecay, BandedUniform, PolyDecay, _toeplitz, build_sigma
+from surecov.model import ArDecay, BandedUniform, PolyDecay, _blas_thread_setter, _toeplitz, build_sigma
 from surecov.theory import (
     VAR_EXACT_CAP,
     _model_theory,
@@ -361,6 +361,28 @@ def test_a_truncation_band_without_a_method_is_banded_truncated():
     assert approx.value != var_n(sigma, 50, Banding(), 1).value  # exact, with no band
     assert list(var_profile(sigma, 50, Banding(), (1, 2), truncation_band=2)) == list(
         var_profile(sigma, 50, Banding(), (1, 2), 2.0, "banded-truncated", 2))
+
+
+def test_var_n_does_not_depend_on_the_callers_blas_thread_count():
+    """var_n's products run on one BLAS thread, also outside ``_model_theory``, so the public
+    ``var_profile`` and ``var_n`` give the same bytes whatever count the caller runs at.  At two
+    threads the values at tau = 5 and 17 used to differ in the last bit."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    sigma = build_sigma(ArDecay(0.9, 400))
+    seen = []
+    before = setter(2)
+    try:
+        for count in (2, 1):
+            setter(count)
+            profile = var_profile(sigma, 250, CzzTaper(), range(1, 60), 3.0, "banded-truncated", 48)
+            single = var_n(sigma, 250, CzzTaper(), 17, 3.0, "banded-truncated", 48).value
+            seen.append((profile.tobytes(), single))
+            assert setter(count) == count
+    finally:
+        setter(before)
+    assert seen[0] == seen[1]
 
 
 def test_var_profile_over_a_grid_allocates_no_p_by_p_array():

@@ -79,6 +79,11 @@ DEFECTS = {
         "flags, self.flags = self.flags, {}",
         "flags = self.flags",
     ),
+    "SURE products at any BLAS count": (
+        "src/surecov/criterion.py",
+        "        with _ONE_BLAS_THREAD:",
+        "        if True:",
+    ),
     "select centring a copy": (
         "src/surecov/cli.py",
         'band_gram(data, grid[-1], {"centred": data.rows})',
